@@ -9,7 +9,7 @@
 //	gridschedd -addr :8080 -sites 10 -workers 4 -capacity 6000 -lease 15s
 //	gridschedd -data-dir /var/lib/gridschedd          # durable: journal + snapshots
 //	gridschedd -data-dir d -fsync always              # fsync before every acknowledgement
-//	gridschedd -data-dir d -snapshot-every 10000      # compaction cadence in journal records
+//	gridschedd -data-dir d -snapshot-every 10000      # minimum compaction cadence in journal records
 //	gridschedd -tenant-quota 8 -default-weight 1      # multi-tenant fair share (docs/ARCHITECTURE.md)
 //	gridschedd -shards 16                             # job-state lock stripes (0: sized to the machine)
 //	gridschedd -auth-tokens tokens.conf               # per-tenant bearer auth (SIGHUP reloads the file)
@@ -150,7 +150,7 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		dataDir  = fs.String("data-dir", "", "journal+snapshot directory; empty disables durability")
 		fsync    = fs.String("fsync", "batch", "journal fsync mode: always, batch or never")
 		fsyncInt = fs.Duration("fsync-interval", 25*time.Millisecond, "batch-mode fsync cadence")
-		snapshot = fs.Int("snapshot-every", 4096, "journal records between compacting snapshots")
+		snapshot = fs.Int("snapshot-every", 4096, "minimum journal records between compacting snapshots (a snapshot also waits for the journal to grow by the previous snapshot's size)")
 		spec     = fs.Bool("speculate", false, "re-execute straggler leases speculatively (first report wins; see docs/SCHEDULING.md)")
 		specPct  = fs.Float64("speculate-percentile", 0.95, "duration percentile a lease must exceed (times the factor) to count as a straggler")
 		partIdx  = fs.Int("partition-index", 0, "this daemon's partition index in a partitioned deployment (see docs/PARTITIONING.md)")

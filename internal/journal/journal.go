@@ -13,10 +13,10 @@
 //	bytes   payload
 //
 // LSNs are assigned by the writer, strictly increasing, and survive log
-// rotation (a snapshot records the LSN it covers; the log restarts empty
-// but the numbering continues), so a reader can skip records a snapshot
-// already covers. The payload is opaque to this package — the service
-// journals small JSON documents.
+// compaction (a snapshot records the LSN it covers; CompactThrough then
+// drops the frames at or below it and the numbering continues), so a
+// reader can skip records a snapshot already covers. The payload is
+// opaque to this package — the service journals small JSON documents.
 //
 // # Durability
 //
@@ -29,9 +29,9 @@
 //     Concurrent waiters are group-committed: one fsync acknowledges every
 //     record appended before it started.
 //   - SyncBatch: WaitDurable returns immediately; a background flusher
-//     fsyncs at a fixed interval (plus at rotation and close), bounding
+//     fsyncs at a fixed interval (plus at compaction and close), bounding
 //     the machine-crash loss window to that interval.
-//   - SyncNever: no fsync except at rotation; for tests and benchmarks.
+//   - SyncNever: no fsync except at compaction; for tests and benchmarks.
 //
 // A write or fsync failure is terminal: the writer poisons itself and
 // every subsequent Append/WaitDurable returns the error. The service
@@ -48,6 +48,7 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -144,9 +145,11 @@ type Writer struct {
 	mode     Mode
 	interval time.Duration
 	met      *Metrics
+	path     string // "" for OpenWriterFile: such a writer cannot compact
 
-	mu       sync.Mutex // file writes, rotation
+	mu       sync.Mutex // file writes, compaction
 	f        File
+	size     int64 // bytes in f, magic included; guarded by mu
 	scratch  []byte
 	appended atomic.Uint64 // last LSN written
 
@@ -156,9 +159,10 @@ type Writer struct {
 	err     error  // terminal write/sync failure, or ErrClosed
 	closed  bool   // shutdown ran; distinct from err, which poison also sets
 
-	// rotations counts Rotate calls. Tail-following readers (the
-	// replication streamer) snapshot it before scanning and restart when
-	// it moves: a rotation invalidates every byte offset they held.
+	// rotations counts compactions. Tail-following readers (the
+	// replication streamer) read it before opening the log and restart
+	// when it moves: a compaction replaces the file, so the handle and
+	// byte offsets they hold no longer see new frames.
 	rotations atomic.Uint64
 
 	// notify is closed and replaced after every successful append, so a
@@ -184,12 +188,18 @@ func OpenWriter(path string, mode Mode, interval time.Duration, lastLSN uint64, 
 	if err != nil {
 		return nil, err
 	}
-	return OpenWriterFile(f, mode, interval, lastLSN, validSize, met)
+	w, err := OpenWriterFile(f, mode, interval, lastLSN, validSize, met)
+	if err != nil {
+		return nil, err
+	}
+	w.path = path
+	return w, nil
 }
 
 // OpenWriterFile is OpenWriter over an already-open File — the seam that
 // lets fault-injection tests hand the writer a handle whose writes and
-// fsyncs fail on cue. On error the file is closed.
+// fsyncs fail on cue. Such a writer knows no path, so it cannot
+// CompactThrough. On error the file is closed.
 func OpenWriterFile(f File, mode Mode, interval time.Duration, lastLSN uint64, validSize int64, met *Metrics) (*Writer, error) {
 	if interval <= 0 {
 		interval = 25 * time.Millisecond
@@ -231,6 +241,7 @@ func OpenWriterFile(f File, mode Mode, interval time.Duration, lastLSN uint64, v
 		interval: interval,
 		met:      met,
 		f:        f,
+		size:     validSize,
 		notify:   make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -291,6 +302,7 @@ func (w *Writer) AppendBatch(payloads [][]byte) (uint64, error) {
 		w.poison(err)
 		return 0, err
 	}
+	w.size += int64(need)
 	w.appended.Store(first + uint64(len(payloads)) - 1)
 	if w.met != nil {
 		w.met.Records.Add(int64(len(payloads)))
@@ -310,7 +322,7 @@ func (w *Writer) notifyAppend() {
 }
 
 // AppendNotify returns a channel closed after the next append (or
-// rotation, or shutdown — any event that should make a tail follower
+// compaction, or shutdown — any event that should make a tail follower
 // look again). Subscribe BEFORE checking for new frames, then wait.
 func (w *Writer) AppendNotify() <-chan struct{} {
 	w.notifyMu.Lock()
@@ -319,8 +331,8 @@ func (w *Writer) AppendNotify() <-chan struct{} {
 	return ch
 }
 
-// Rotations counts Rotate calls; tail followers snapshot it to detect
-// that their byte offsets went stale.
+// Rotations counts compactions; tail followers read it before opening
+// the log to detect that their file handle went stale.
 func (w *Writer) Rotations() uint64 { return w.rotations.Load() }
 
 // WaitDurable blocks until the record at lsn is fsync-covered (SyncAlways)
@@ -413,29 +425,110 @@ func (w *Writer) flusher() {
 	}
 }
 
-// Rotate empties the log after a snapshot made its contents redundant. The
-// LSN sequence continues; the truncation is fsynced so a machine crash
-// cannot resurrect pre-snapshot records behind the snapshot's back.
-func (w *Writer) Rotate() error {
+// Mark is a position in the log: the last LSN appended and the byte
+// offset just past its frame. Take one with Writer.Mark when the state a
+// snapshot captures is frozen; CompactThrough later drops everything up
+// to it.
+type Mark struct {
+	LSN    uint64
+	Offset int64
+	epoch  uint64 // Rotations() when taken; a mark is void after a compaction
+}
+
+// Mark returns the current end of the log.
+func (w *Writer) Mark() Mark {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return Mark{LSN: w.appended.Load(), Offset: w.size, epoch: w.rotations.Load()}
+}
+
+// CompactThrough drops the frames at or below m from the log, keeping
+// every frame appended after m. Call it only once a snapshot covering
+// m.LSN is durable: from the moment the new file replaces the old one,
+// the snapshot is the only record of what was dropped.
+//
+// The suffix is copied into a temp file beside the log in two passes.
+// The first copies what exists when the call starts, without the
+// writer's mutex, so appends go on meanwhile. The second runs under the
+// mutex: it copies the frames appended since, fsyncs the file, renames
+// it over the log, fsyncs the directory and swaps the handle. Appends
+// after that land in the new file. A crash at any point leaves either
+// the old log (every frame, including those the snapshot covers, which
+// recovery skips) or the new one, plus at worst a stray temp file.
+//
+// An error before the rename leaves the old log in use and intact. A
+// failure after it poisons the writer, since appends could no longer be
+// shown durable.
+func (w *Writer) CompactThrough(m Mark) error {
+	if w.path == "" {
+		return errors.New("journal: compaction needs a writer opened by path")
+	}
+	w.mu.Lock()
+	end, epoch := w.size, w.rotations.Load()
+	err := w.failed()
+	w.mu.Unlock()
+	switch {
+	case err != nil:
+		return err
+	case m.epoch != epoch || m.Offset < int64(len(logMagic)) || m.Offset > end:
+		return fmt.Errorf("journal: stale compaction mark (lsn %d, offset %d)", m.LSN, m.Offset)
+	}
+
+	src, err := os.Open(w.path)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	dir := filepath.Dir(w.path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(w.path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	swapped := false
+	defer func() {
+		if !swapped {
+			tmp.Close()
+			_ = os.Remove(tmp.Name())
+		}
+	}()
+	if err := tmp.Chmod(0o644); err != nil { // the mode OpenWriter creates logs with
+		return err
+	}
+	if _, err := tmp.Write(logMagic); err != nil {
+		return err
+	}
+	if _, err := io.Copy(tmp, io.NewSectionReader(src, m.Offset, end-m.Offset)); err != nil {
+		return err
+	}
+	if err := w.syncFile(tmp); err != nil {
+		return err
+	}
+
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.failed(); err != nil {
 		return err
 	}
-	if err := w.f.Truncate(int64(len(logMagic))); err != nil {
-		w.poison(err)
+	if w.rotations.Load() != epoch {
+		return fmt.Errorf("journal: log compacted concurrently past lsn %d", m.LSN)
+	}
+	if _, err := io.Copy(tmp, io.NewSectionReader(src, end, w.size-end)); err != nil {
 		return err
 	}
-	if _, err := w.f.Seek(int64(len(logMagic)), io.SeekStart); err != nil {
-		w.poison(err)
+	if err := w.syncFile(tmp); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		w.poison(err)
+	if err := os.Rename(tmp.Name(), w.path); err != nil {
 		return err
 	}
-	if w.met != nil {
-		w.met.Fsyncs.Add(1)
+	swapped = true
+	old := w.f
+	w.f = tmp
+	w.size = int64(len(logMagic)) + w.size - m.Offset
+	_ = old.Close() // unlinked by the rename; nothing more is written to it
+	if err := syncDir(dir); err != nil {
+		w.poison(err)
+		return err
 	}
 	w.syncMu.Lock()
 	w.durable = w.appended.Load()
@@ -444,6 +537,14 @@ func (w *Writer) Rotate() error {
 	w.rotations.Add(1)
 	w.notifyAppend()
 	return nil
+}
+
+// syncFile fsyncs f and counts it.
+func (w *Writer) syncFile(f *os.File) error {
+	if w.met != nil {
+		w.met.Fsyncs.Add(1)
+	}
+	return f.Sync()
 }
 
 // LastLSN returns the LSN of the most recently appended record.
@@ -607,27 +708,48 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // the same directory, fsync it, rename over path, fsync the directory.
 // Readers see either the old or the new content, never a mix.
 func WriteFileAtomic(path string, data []byte) error {
+	_, err := WriteFileAtomicFunc(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	return err
+}
+
+// WriteFileAtomicFunc is WriteFileAtomic with the content streamed by
+// fill through a buffered writer, so it never has to exist in memory as
+// a whole. It returns the number of bytes written.
+func WriteFileAtomicFunc(path string, fill func(io.Writer) error) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer func() { _ = os.Remove(tmp.Name()) }() // no-op after the rename succeeds
-	if _, err := tmp.Write(data); err != nil {
+	bw := bufio.NewWriterSize(tmp, 64<<10)
+	if err := fill(bw); err != nil {
 		tmp.Close()
-		return err
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	n, err := tmp.Seek(0, io.SeekCurrent)
+	if err != nil {
+		tmp.Close()
+		return 0, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return err
+		return 0, err
 	}
 	if err := tmp.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+		return 0, err
 	}
-	return syncDir(dir)
+	return n, syncDir(dir)
 }
 
 func syncDir(dir string) error {

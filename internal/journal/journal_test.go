@@ -2,7 +2,9 @@ package journal_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -167,31 +169,151 @@ func TestCorruptPayloadStopsScan(t *testing.T) {
 	}
 }
 
-func TestRotateContinuesLSN(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w := openWriter(t, path, journal.SyncNever, 0, 0)
-	if _, err := w.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	lsn, err := w.Append([]byte("c"))
+// TestCompactThroughKeepsSuffix: compaction drops the frames at or below
+// the mark, keeps every later one (including appends that land while it
+// copies), continues the LSN sequence, and leaves no temp file behind.
+func TestCompactThroughKeepsSuffix(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal")
+	met := &journal.Metrics{}
+	w, err := journal.OpenWriter(path, journal.SyncNever, time.Millisecond, 0, 0, met)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != 3 {
-		t.Fatalf("post-rotate lsn = %d, want 3", lsn)
+	for _, p := range []string{"a", "b"} {
+		if _, err := w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := w.Mark()
+	if m.LSN != 2 {
+		t.Fatalf("mark lsn = %d, want 2", m.LSN)
+	}
+	if _, err := w.Append([]byte("c")); err != nil { // after the mark: kept
+		t.Fatal(err)
+	}
+	epoch, bytesBefore := w.Rotations(), met.Bytes.Load()
+	if err := w.CompactThrough(m); err != nil {
+		t.Fatal(err)
+	}
+	if w.Rotations() != epoch+1 {
+		t.Fatalf("Rotations() = %d, want %d", w.Rotations(), epoch+1)
+	}
+	if met.Bytes.Load() != bytesBefore {
+		t.Fatal("compaction counted its copy as appended bytes")
+	}
+	lsn, err := w.Append([]byte("d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 4 {
+		t.Fatalf("post-compaction lsn = %d, want 4", lsn)
+	}
+	// A mark from before the compaction is void.
+	if err := w.CompactThrough(m); err == nil {
+		t.Fatal("compacted through a stale mark")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	info, got := readAll(t, path, 0)
-	if info.Torn || len(got) != 1 || got[0] != "3:c" {
+	if info.Torn || fmt.Sprint(got) != "[3:c 4:d]" {
 		t.Fatalf("info %+v records %v", info, got)
+	}
+	// Reopening over the compacted log appends where it left off.
+	w = openWriter(t, path, journal.SyncNever, info.LastLSN, info.ValidSize)
+	if lsn, err := w.Append([]byte("e")); err != nil || lsn != 5 {
+		t.Fatalf("append after reopen: lsn %d err %v", lsn, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := readAll(t, path, 0); fmt.Sprint(got) != "[3:c 4:d 5:e]" {
+		t.Fatalf("after reopen: %v", got)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("data dir holds %d entries, want only the log", len(entries))
+	}
+}
+
+// TestCompactThroughConcurrentAppends: appends racing a compaction are
+// neither lost nor duplicated, whichever pass copies them.
+func TestCompactThroughConcurrentAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	w := openWriter(t, path, journal.SyncBatch, 0, 0)
+	for i := 0; i < 100; i++ {
+		if _, err := w.Append([]byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := w.Mark()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 100; i < 2000; i++ {
+			if _, err := w.Append([]byte(fmt.Sprint(i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	if err := w.CompactThrough(m); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got := readAll(t, path, 0)
+	if len(got) != 1900 {
+		t.Fatalf("%d records survive, want 1900", len(got))
+	}
+	for i, r := range got {
+		if want := fmt.Sprintf("%d:%d", i+101, i+100); r != want {
+			t.Fatalf("record %d = %s, want %s", i, r, want)
+		}
+	}
+}
+
+// TestCompactThroughOnClosedWriter: a writer abandoned before compaction
+// (a crash between the snapshot and the compaction) refuses it and keeps
+// its log whole; ReadLog past the mark still finds every later record.
+func TestCompactThroughOnClosedWriter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal")
+	w := openWriter(t, path, journal.SyncNever, 0, 0)
+	for _, p := range []string{"a", "b", "c"} {
+		if _, err := w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := w.Mark()
+	if _, err := w.Append([]byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	w.Abandon()
+	if err := w.CompactThrough(m); !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("CompactThrough on an abandoned writer: %v (want ErrClosed)", err)
+	}
+	if _, got := readAll(t, path, m.LSN); fmt.Sprint(got) != "[4:d]" {
+		t.Fatalf("records past the mark: %v", got)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("data dir holds %d entries, want only the log", len(entries))
+	}
+	// A writer opened on a file handle has no path to compact beside.
+	f, err := os.CreateTemp(dir, "handle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, err := journal.OpenWriterFile(f, journal.SyncNever, 0, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hw.Close()
+	if err := hw.CompactThrough(hw.Mark()); err == nil {
+		t.Fatal("a pathless writer compacted")
 	}
 }
 
@@ -275,6 +397,38 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ents) != 1 {
+		t.Fatalf("temp files left behind: %v", ents)
+	}
+}
+
+// TestWriteFileAtomicFunc: streamed content lands whole and its size is
+// reported; a fill error leaves the previous file and no temp behind.
+func TestWriteFileAtomicFunc(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap")
+	big := bytes.Repeat([]byte("0123456789"), 20_000) // several buffer flushes
+	n, err := journal.WriteFileAtomicFunc(path, func(w io.Writer) error {
+		for i := 0; i < len(big); i += 7_000 {
+			if _, err := w.Write(big[i:min(i+7_000, len(big))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || n != int64(len(big)) {
+		t.Fatalf("wrote %d bytes, err %v", n, err)
+	}
+	boom := errors.New("boom")
+	if _, err := journal.WriteFileAtomicFunc(path, func(w io.Writer) error {
+		_, _ = w.Write([]byte("partial"))
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("fill error = %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(data, big) {
+		t.Fatalf("content after failed replace: %d bytes, err %v", len(data), err)
+	}
+	if ents, _ := os.ReadDir(filepath.Dir(path)); len(ents) != 1 {
 		t.Fatalf("temp files left behind: %v", ents)
 	}
 }

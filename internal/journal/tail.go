@@ -20,18 +20,23 @@ import (
 //     subscribes to Writer.AppendNotify BEFORE calling Next, waits, and
 //     retries. Appends land with one write(2), so a frame becomes valid
 //     atomically with respect to this reader.
-//   - Rotation truncates the file under the reader's feet. The reader
-//     reports ErrRotated when it can prove it (file shrank below its
-//     offset); because the file can regrow before the reader stats it,
-//     callers following a live Writer must ALSO snapshot
-//     Writer.Rotations() before scanning and restart when it moves.
+//   - Compaction (Writer.CompactThrough) never truncates: it renames a
+//     new file, holding only the frames past the snapshot mark, over the
+//     log. A reader keeps its handle on the old file, which still holds
+//     every frame up to the compaction and then simply stops growing.
+//     Callers following a live Writer must therefore read
+//     Writer.Rotations() BEFORE opening the tail and reopen when it
+//     moves; the reopened reader resumes from its LSN, since every frame
+//     past the mark survived.
+//   - A file that shrinks below the reader's offset (a writer reopened
+//     over a torn tail truncates it) is reported as ErrRotated.
 
 // ErrNoFrame reports that no complete, valid frame exists at the reader's
 // offset yet. Transient by construction on a live log; wait and retry.
 var ErrNoFrame = errors.New("journal: no complete frame at tail")
 
-// ErrRotated reports that the log was truncated (rotated) behind the
-// reader; its offset is meaningless. Reopen and resync from a snapshot.
+// ErrRotated reports that the log was truncated behind the reader; its
+// offset is meaningless. Reopen and resync from a snapshot.
 var ErrRotated = errors.New("journal: log rotated under tail reader")
 
 // TailReader reads validated frames from a (possibly live) log file.
@@ -93,9 +98,8 @@ func (t *TailReader) readFrame() (uint64, []byte, error) {
 	crc := binary.LittleEndian.Uint32(header[4:8])
 	lsn := binary.LittleEndian.Uint64(header[8:16])
 	if length > MaxRecordLen {
-		// On a live log a garbage header can only be a mid-rotation read;
-		// the Rotations check in the caller's loop converts this stall
-		// into a restart.
+		// On a live log a garbage header can only be a read racing a
+		// truncation; report "nothing yet" and let the caller retry.
 		return 0, nil, ErrNoFrame
 	}
 	if cap(t.scratch) < int(length) {

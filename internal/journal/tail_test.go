@@ -79,9 +79,9 @@ func TestTailReaderResumesAfter(t *testing.T) {
 	}
 }
 
-// TestTailReaderDetectsRotation: rotation truncates the log, which must
-// surface as ErrRotated (plus a Rotations() bump for in-process
-// followers), never as silently re-reading old offsets.
+// TestTailReaderDetectsRotation: a log that shrinks below the reader (a
+// writer reopened over a torn tail truncates it) must surface as
+// ErrRotated, never as silently re-reading old offsets.
 func TestTailReaderDetectsRotation(t *testing.T) {
 	w, path := openTailWriter(t)
 	for i := 0; i < 3; i++ {
@@ -99,15 +99,65 @@ func TestTailReaderDetectsRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	epoch := w.Rotations()
-	if err := w.Rotate(); err != nil {
+	if err := os.Truncate(path, 8); err != nil { // back to the bare magic
 		t.Fatal(err)
 	}
-	if w.Rotations() != epoch+1 {
-		t.Fatalf("Rotations() = %d, want %d", w.Rotations(), epoch+1)
-	}
 	if _, _, err := tr.Next(); !errors.Is(err, journal.ErrRotated) {
-		t.Fatalf("after rotation: %v (want ErrRotated)", err)
+		t.Fatalf("after truncation: %v (want ErrRotated)", err)
+	}
+}
+
+// TestTailReaderAcrossCompaction: compaction replaces the file, so a
+// reader on the old one drains the frames it holds and then sees no
+// more. Rotations() tells it so, and a reader reopened at its position
+// resumes with the next frame and no gap.
+func TestTailReaderAcrossCompaction(t *testing.T) {
+	w, path := openTailWriter(t)
+	for i := 1; i <= 4; i++ {
+		if _, err := w.Append([]byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := w.Rotations()
+	tr, err := journal.OpenTail(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for want := uint64(1); want <= 3; want++ {
+		if lsn, _, err := tr.Next(); err != nil || lsn != want {
+			t.Fatalf("before compaction: lsn %d err %v, want %d", lsn, err, want)
+		}
+	}
+	m := w.Mark()
+	if _, err := w.Append([]byte("5")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CompactThrough(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append([]byte("6")); err != nil { // into the new file only
+		t.Fatal(err)
+	}
+	if w.Rotations() == epoch {
+		t.Fatal("compaction did not move Rotations()")
+	}
+	// The old file still holds everything up to the compaction.
+	for want := uint64(4); want <= 5; want++ {
+		if lsn, _, err := tr.Next(); err != nil || lsn != want {
+			t.Fatalf("old file: lsn %d err %v, want %d", lsn, err, want)
+		}
+	}
+	if _, _, err := tr.Next(); !errors.Is(err, journal.ErrNoFrame) {
+		t.Fatalf("old file past the compaction: %v (want ErrNoFrame)", err)
+	}
+	re, err := journal.OpenTail(path, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if lsn, payload, err := re.Next(); err != nil || lsn != 6 || string(payload) != "6" {
+		t.Fatalf("reopened reader: lsn %d %q err %v, want 6", lsn, payload, err)
 	}
 }
 
@@ -148,7 +198,7 @@ func TestTailReaderIgnoresTornTail(t *testing.T) {
 }
 
 // TestAppendNotifyWakesWaiters: AppendNotify's channel closes on append,
-// rotation, and shutdown — everything a parked tail follower must wake
+// compaction, and shutdown — everything a parked tail follower must wake
 // for.
 func TestAppendNotifyWakesWaiters(t *testing.T) {
 	w, _ := openTailWriter(t)
@@ -166,10 +216,10 @@ func TestAppendNotifyWakesWaiters(t *testing.T) {
 	}
 	wait(ch, "append")
 	ch = w.AppendNotify()
-	if err := w.Rotate(); err != nil {
+	if err := w.CompactThrough(w.Mark()); err != nil {
 		t.Fatal(err)
 	}
-	wait(ch, "rotate")
+	wait(ch, "compaction")
 	ch = w.AppendNotify()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

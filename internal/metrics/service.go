@@ -57,32 +57,44 @@ type ServiceCounters struct {
 	ReplayNanos      atomic.Int64 // time the startup replay took
 	RecoveredExpired atomic.Int64 // in-flight leases expired by recovery
 
-	// Stop-the-world snapshot pause (the lockAll hold across state
-	// collection, marshal, file replacement, and log rotation): last
-	// observed and running maximum, in nanoseconds. Rendered at /metrics
-	// in milliseconds as gridsched_snapshot_pause_ms.
+	// Snapshot cost, last observed and running maximum, in nanoseconds;
+	// rendered at /metrics in milliseconds. The pause is the
+	// stop-the-world capture (lockAll, copying state), the only part
+	// that stalls dispatch (gridsched_snapshot_pause_ms). The write is
+	// the rest, run with no service lock held: encoding, writing and
+	// syncing the file, and compacting the log
+	// (gridsched_snapshot_write_ms).
 	SnapshotPauseLastNanos atomic.Int64
 	SnapshotPauseMaxNanos  atomic.Int64
+	SnapshotWriteLastNanos atomic.Int64
+	SnapshotWriteMaxNanos  atomic.Int64
 }
 
 // ObserveDispatch folds one dispatch duration into the latency summary.
 func (c *ServiceCounters) ObserveDispatch(nanos int64) {
 	c.DispatchNanos.Add(nanos)
 	c.DispatchCount.Add(1)
-	for {
-		cur := c.DispatchMaxNanos.Load()
-		if nanos <= cur || c.DispatchMaxNanos.CompareAndSwap(cur, nanos) {
-			return
-		}
-	}
+	storeMax(&c.DispatchMaxNanos, nanos)
 }
 
-// ObserveSnapshotPause records one stop-the-world snapshot pause.
+// ObserveSnapshotPause records one stop-the-world snapshot capture.
 func (c *ServiceCounters) ObserveSnapshotPause(nanos int64) {
 	c.SnapshotPauseLastNanos.Store(nanos)
+	storeMax(&c.SnapshotPauseMaxNanos, nanos)
+}
+
+// ObserveSnapshotWrite records one snapshot's encode, write and
+// compaction.
+func (c *ServiceCounters) ObserveSnapshotWrite(nanos int64) {
+	c.SnapshotWriteLastNanos.Store(nanos)
+	storeMax(&c.SnapshotWriteMaxNanos, nanos)
+}
+
+// storeMax raises m to v if v is larger.
+func storeMax(m *atomic.Int64, v int64) {
 	for {
-		cur := c.SnapshotPauseMaxNanos.Load()
-		if nanos <= cur || c.SnapshotPauseMaxNanos.CompareAndSwap(cur, nanos) {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -149,8 +161,13 @@ func (c *ServiceCounters) WriteText(w io.Writer) error {
 	_, err := fmt.Fprintf(w,
 		"# TYPE gridsched_snapshot_pause_ms gauge\n"+
 			"gridsched_snapshot_pause_ms{stat=\"last\"} %g\n"+
-			"gridsched_snapshot_pause_ms{stat=\"max\"} %g\n",
+			"gridsched_snapshot_pause_ms{stat=\"max\"} %g\n"+
+			"# TYPE gridsched_snapshot_write_ms gauge\n"+
+			"gridsched_snapshot_write_ms{stat=\"last\"} %g\n"+
+			"gridsched_snapshot_write_ms{stat=\"max\"} %g\n",
 		float64(c.SnapshotPauseLastNanos.Load())/nsPerMs,
-		float64(c.SnapshotPauseMaxNanos.Load())/nsPerMs)
+		float64(c.SnapshotPauseMaxNanos.Load())/nsPerMs,
+		float64(c.SnapshotWriteLastNanos.Load())/nsPerMs,
+		float64(c.SnapshotWriteMaxNanos.Load())/nsPerMs)
 	return err
 }

@@ -35,6 +35,8 @@ func TestSnapshotPauseGauges(t *testing.T) {
 	c := NewServiceCounters()
 	c.ObserveSnapshotPause(2_500_000) // 2.5ms
 	c.ObserveSnapshotPause(1_000_000) // 1ms: last moves, max stays
+	c.ObserveSnapshotWrite(40_000_000)
+	c.ObserveSnapshotWrite(75_500_000)
 
 	var sb strings.Builder
 	if err := c.WriteText(&sb); err != nil {
@@ -45,6 +47,9 @@ func TestSnapshotPauseGauges(t *testing.T) {
 		"# TYPE gridsched_snapshot_pause_ms gauge",
 		`gridsched_snapshot_pause_ms{stat="last"} 1`,
 		`gridsched_snapshot_pause_ms{stat="max"} 2.5`,
+		"# TYPE gridsched_snapshot_write_ms gauge",
+		`gridsched_snapshot_write_ms{stat="last"} 75.5`,
+		`gridsched_snapshot_write_ms{stat="max"} 75.5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

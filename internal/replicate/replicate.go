@@ -22,10 +22,11 @@
 //
 // A follower connects with ?from=<lsn>, the last LSN it holds. The
 // leader serves lsn+1, lsn+2, … from its live WAL via a tail-following
-// reader (journal.TailReader). When the requested position was compacted
-// away by snapshot rotation, the leader ships its current snapshot file
-// first ("snapshot" message, lsn = the LSN the snapshot covers) and
-// resumes framing from there. Heartbeats flow whenever the stream is
+// reader (journal.TailReader). Compaction keeps every frame past the
+// snapshot's LSN, so a follower already past it keeps tailing. When the
+// requested position was compacted away, the leader ships its current
+// snapshot file first ("snapshot" message, lsn = the LSN the snapshot
+// covers) and resumes framing from there. Heartbeats flow whenever the stream is
 // idle so the follower can measure lag and detect leader death.
 //
 // # Safety

@@ -15,7 +15,7 @@ import (
 // point at the live journal owned by internal/service; Serve never takes
 // a service lock — it reads the WAL file and the snapshot file the same
 // way recovery would, synchronized only by the writer's append
-// notifications and rotation counter.
+// notifications and compaction counter.
 type Source struct {
 	// WALPath and SnapshotPath locate the leader's live journal.
 	WALPath      string
@@ -58,8 +58,8 @@ func readSnapshot(path string) (lsn uint64, data []byte, ok bool, err error) {
 
 // Serve streams frames with LSN > from to w until ctx or Done ends, or a
 // write fails (follower gone). When the WAL tail no longer reaches the
-// requested position — a snapshot rotation compacted it — the current
-// snapshot is shipped instead and framing resumes past it.
+// requested position — a compaction dropped it — the current snapshot is
+// shipped instead and framing resumes past it.
 func (s *Source) Serve(ctx context.Context, w io.Writer, from uint64) error {
 	enc := NewEncoder(w)
 	flush := func() error {
@@ -94,7 +94,7 @@ func (s *Source) Serve(ctx context.Context, w io.Writer, from uint64) error {
 		}
 		// Snapshot catch-up: whenever the snapshot already covers the
 		// position we owe, it is both the only complete source (the tail
-		// may have rotated) and the cheapest one.
+		// may have been compacted) and the cheapest one.
 		snapLSN, data, ok, err := readSnapshot(s.SnapshotPath)
 		if err != nil {
 			return err
@@ -110,8 +110,12 @@ func (s *Source) Serve(ctx context.Context, w io.Writer, from uint64) error {
 			continue
 		}
 		// Subscribe before opening the tail so an append between "no WAL
-		// yet" and the wait cannot be missed.
+		// yet" and the wait cannot be missed, and read the compaction
+		// count before it too: a compaction after the open leaves the
+		// reader on a file that no longer grows, and only a count read
+		// earlier can tell.
 		notify := s.Notify()
+		epoch := s.Rotations()
 		tr, err := journal.OpenTail(s.WALPath, next-1)
 		if err != nil {
 			if !os.IsNotExist(err) {
@@ -122,20 +126,21 @@ func (s *Source) Serve(ctx context.Context, w io.Writer, from uint64) error {
 			}
 			continue
 		}
-		err = s.followTail(ctx, enc, flush, tr, &next, tick.C)
+		err = s.followTail(ctx, enc, flush, tr, epoch, &next, tick.C)
 		_ = tr.Close()
 		if err != nil {
 			return err
 		}
-		// nil: rotation or gap — loop and re-resolve via the snapshot.
+		// nil: compaction or gap — loop and re-resolve. A follower past
+		// the compaction mark reopens the tail where it was; one behind
+		// it gets the snapshot.
 	}
 }
 
-// followTail streams consecutive frames from tr until rotation (or an
-// LSN gap) invalidates it — returning nil so the caller re-resolves —
-// or a real error ends the stream.
-func (s *Source) followTail(ctx context.Context, enc *Encoder, flush func() error, tr *journal.TailReader, next *uint64, tick <-chan time.Time) error {
-	epoch := s.Rotations()
+// followTail streams consecutive frames from tr until a compaction
+// (Rotations moving past epoch) or an LSN gap invalidates it — returning
+// nil so the caller re-resolves — or a real error ends the stream.
+func (s *Source) followTail(ctx context.Context, enc *Encoder, flush func() error, tr *journal.TailReader, epoch uint64, next *uint64, tick <-chan time.Time) error {
 	for {
 		if err := s.interrupted(ctx); err != nil {
 			return err

@@ -18,12 +18,21 @@ func (s *Service) CrashForTest() {
 	}
 }
 
-// SnapshotForTest forces a snapshot+rotation, so tests can pin down which
-// state came from the snapshot and which from the journal tail.
+// SnapshotForTest forces a snapshot and compaction, so tests can pin
+// down which state came from the snapshot and which from the journal
+// tail.
 func (s *Service) SnapshotForTest() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	return s.snapshot()
+}
+
+// SetSnapshotHookForTest installs fn to run between the snapshot's steps:
+// "captured" once the state is copied and every lock released, "durable"
+// once the snapshot file is in place and before the log is compacted.
+// Set it only while no snapshot can run; nil removes it.
+func (s *Service) SetSnapshotHookForTest(fn func(step string)) {
+	s.pst.hook = fn
 }
 
 // SweepForTest runs one sweep at the service's current clock. The policy

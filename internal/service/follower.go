@@ -269,8 +269,8 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 
 // ApplySnapshot installs a full catch-up snapshot: the on-disk snapshot
 // file is replaced atomically, the local WAL resets to an empty log
-// seeded at the snapshot's LSN (exactly the state a leader has right
-// after rotation), and the catalog is rebuilt.
+// seeded at the snapshot's LSN (the state a leader's log would have had
+// it compacted with nothing appended since), and the catalog is rebuilt.
 func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -231,6 +231,61 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 	}
 }
 
+// TestFollowerTailsAcrossCompaction: compaction keeps the log past the
+// snapshot's LSN, so a follower already past it keeps tailing with no
+// snapshot resend, while a follower behind it is sent the snapshot. Both
+// end up mirroring the leader.
+func TestFollowerTailsAcrossCompaction(t *testing.T) {
+	s, err := service.New(snapshotOnlyConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	ahead := startFollower(t, srv.URL)
+
+	if _, err := s.SubmitByName("tail", "combined.2", syntheticWorkload(40, 3), 5, ""); err != nil {
+		t.Fatal(err)
+	}
+	pullSequence(t, s, 10)
+	// Connected and streaming before the capture: a follower whose first
+	// connection came after the snapshot would rightly be sent it.
+	waitCaughtUp(t, ahead, s)
+	s.SetSnapshotHookForTest(func(step string) {
+		switch step {
+		case "captured":
+			pullSequence(t, s, 5) // records past the mark
+		case "durable":
+			waitCaughtUp(t, ahead, s) // past the mark when the log is compacted
+		}
+	})
+	if err := s.SnapshotForTest(); err != nil {
+		t.Fatal(err)
+	}
+	s.SetSnapshotHookForTest(nil) // the shutdown snapshot runs plain
+	pullSequence(t, s, 5)         // appended to the compacted log
+	waitCaughtUp(t, ahead, s)
+	if n := ahead.ReplicationCounters().SnapshotsApplied.Load(); n != 0 {
+		t.Fatalf("a follower past the mark was sent %d snapshots", n)
+	}
+
+	behind := startFollower(t, srv.URL)
+	waitCaughtUp(t, behind, s)
+	if n := behind.ReplicationCounters().SnapshotsApplied.Load(); n != 1 {
+		t.Fatalf("a follower behind the mark applied %d snapshots, want 1", n)
+	}
+
+	want := normalizeForFollower(s.Jobs())
+	for name, fl := range map[string]*service.Follower{"ahead": ahead, "behind": behind} {
+		var got []api.JobStatus
+		getJSON(t, fl.Handler(), "/v1/jobs", &got)
+		if got = normalizeForFollower(got); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s follower:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
 // TestFollowerHaltsOnDivergence feeds the standby a stream with an LSN
 // gap. It must halt — permanently, without applying past the gap — while
 // continuing to serve the prefix it holds.

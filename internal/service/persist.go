@@ -3,9 +3,11 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -46,11 +48,10 @@ type record struct {
 	Job string `json:"job,omitempty"`
 
 	// opSubmit
-	Name       string             `json:"name,omitempty"`
-	Algorithm  string             `json:"algorithm,omitempty"`
-	Seed       int64              `json:"seed,omitempty"`
-	Submission string             `json:"submission,omitempty"`
-	Workload   *workload.Workload `json:"workload,omitempty"`
+	Name       string `json:"name,omitempty"`
+	Algorithm  string `json:"algorithm,omitempty"`
+	Seed       int64  `json:"seed,omitempty"`
+	Submission string `json:"submission,omitempty"`
 	// Tenant rides on opSubmit (the job's tenant, resolved) and opQuota
 	// (the tenant being configured). Weight is the job's resolved
 	// fair-share weight — journaled resolved so replay cannot be skewed by
@@ -77,6 +78,10 @@ type record struct {
 	// without a scheduler NextFor and without a fair charge, exactly as
 	// it was granted (see trySpeculateLocked / replayEvent).
 	Spec bool `json:"spec,omitempty"`
+
+	// opSubmit's workload. Last, so encodeRecord can append it with the
+	// reflection-free encoder and still produce json.Marshal's bytes.
+	Workload *workload.Workload `json:"workload,omitempty"`
 }
 
 // Ledger ops: the per-job replay history, a compact projection of the
@@ -141,11 +146,12 @@ type snapshot struct {
 	// behavior.
 	VTime   uint64       `json:"vtime,omitempty"`
 	Tenants []snapTenant `json:"tenants,omitempty"` // sorted by name
-	Jobs    []snapJob    `json:"jobs"`              // submission order
 	// Workers is the per-slot telemetry (duration/failure EWMAs); journal
 	// tail records fold on top in LSN order. Sorted by (site, worker).
 	// Absent in pre-context snapshots, which recover with cold telemetry.
 	Workers []snapWorker `json:"workers,omitempty"`
+	// Jobs, in submission order, comes last: writeSnapshot streams it.
+	Jobs []snapJob `json:"jobs"`
 }
 
 // snapWorker is one worker slot's accumulated telemetry in a snapshot.
@@ -193,10 +199,6 @@ type snapJob struct {
 	Requires []string `json:"requires,omitempty"`
 	Deadline int64    `json:"deadline,omitempty"`
 
-	// Running jobs: replay inputs.
-	Workload *workload.Workload `json:"workload,omitempty"`
-	Ledger   []ledgerRec        `json:"ledger,omitempty"`
-
 	// Completed jobs: the surviving summary.
 	Dispatched int   `json:"dispatched,omitempty"`
 	Completed  int   `json:"completed,omitempty"`
@@ -205,10 +207,14 @@ type snapJob struct {
 	Expired    int   `json:"expired,omitempty"`
 	Speculated int   `json:"speculated,omitempty"`
 	Transfers  int64 `json:"transfers,omitempty"`
+
+	// Running jobs: replay inputs. Last, so writeSnapshot can stream them.
+	Workload *workload.Workload `json:"workload,omitempty"`
+	Ledger   []ledgerRec        `json:"ledger,omitempty"`
 }
 
 // persistence is the journaling state of a Service with Config.DataDir
-// set. carry is guarded by the coordinator mutex; sinceSnapshot is
+// set. carry is guarded by the coordinator mutex; the cadence fields are
 // atomic; stage serializes appends (commit.go).
 type persistence struct {
 	dir            string
@@ -216,7 +222,17 @@ type persistence struct {
 	stage          *commitStage
 	journalMetrics *journal.Metrics
 	carry          carryCounters
-	sinceSnapshot  atomic.Int64 // records appended since the last snapshot
+	// Snapshot cadence (snapshotDue): records appended since the last
+	// capture, and the journal byte count (journalMetrics.Bytes) the log
+	// must reach before the next snapshot — the count at the last
+	// capture plus that snapshot's size.
+	sinceSnapshot atomic.Int64
+	dueBytes      atomic.Int64
+	// hook, when set, is called between the snapshot's steps with
+	// "captured" (locks released, nothing written) and "durable" (the
+	// file is in place, the log not yet compacted). Tests use it to
+	// crash or append inside those windows.
+	hook func(step string)
 }
 
 // refreshJournalMetrics copies the log writer's counters into the service
@@ -244,7 +260,7 @@ func (s *Service) snapshotPath() string { return filepath.Join(s.pst.dir, snapsh
 // acquires, so a snapshot can never claim (via LastLSN) to cover a record
 // whose effect it does not contain.
 func (s *Service) appendRecord(rec *record) (uint64, error) {
-	payload, err := json.Marshal(rec)
+	payload, err := encodeRecord(rec)
 	if err != nil {
 		return 0, errf(500, "service: journal encode: %v", err)
 	}
@@ -264,7 +280,7 @@ func (s *Service) appendRecord(rec *record) (uint64, error) {
 func (s *Service) appendRecords(recs []*record) (uint64, error) {
 	payloads := make([][]byte, len(recs))
 	for i, rec := range recs {
-		p, err := json.Marshal(rec)
+		p, err := encodeRecord(rec)
 		if err != nil {
 			return 0, errf(500, "service: journal encode: %v", err)
 		}
@@ -309,39 +325,110 @@ func (s *Service) waitDurable(lsn uint64) error {
 	return nil
 }
 
-// snapshotIfDue snapshots once enough records accumulated. Callers must
-// hold no service lock: the snapshot is stop-the-world (lockAll).
+// encodeRecord is json.Marshal(rec) with a submit's workload encoded by
+// the reflection-free workload.AppendJSON; Workload is record's last
+// field, so appending it after the rest yields the same bytes.
+func encodeRecord(rec *record) ([]byte, error) {
+	if rec.Workload == nil {
+		return json.Marshal(rec)
+	}
+	head := *rec
+	head.Workload = nil
+	b, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b[:len(b)-1], `,"workload":`...)
+	b = rec.Workload.AppendJSON(b)
+	return append(b, '}'), nil
+}
+
+// snapshotDue reports whether the snapshot cadence is met: at least
+// SnapshotEvery records since the last capture, and a journal grown by
+// at least the last snapshot's size since then. The second rule keeps
+// replay work bounded by snapshot-load work; without it a large
+// snapshot would be rewritten every few thousand small records.
+func (s *Service) snapshotDue() bool {
+	return s.pst.sinceSnapshot.Load() >= int64(s.cfg.SnapshotEvery) &&
+		s.pst.journalMetrics.Bytes.Load() >= s.pst.dueBytes.Load()
+}
+
+// snapshotIfDue snapshots once the cadence is met. Callers hold no
+// service lock. A request that finds a snapshot already under way
+// returns at once rather than queue behind it: that snapshot serves.
 func (s *Service) snapshotIfDue() {
-	if s.pst == nil || s.pst.sinceSnapshot.Load() < int64(s.cfg.SnapshotEvery) {
+	if s.pst == nil || !s.snapshotDue() {
 		return
 	}
-	s.snapMu.Lock()
+	if !s.snapMu.TryLock() {
+		return
+	}
 	defer s.snapMu.Unlock()
-	if s.pst.sinceSnapshot.Load() < int64(s.cfg.SnapshotEvery) {
-		return // another request snapshotted while we waited
+	if !s.snapshotDue() {
+		return // another request snapshotted first
 	}
 	if err := s.snapshot(); err != nil {
+		// The capture reset the record count, so the next attempt waits
+		// a full SnapshotEvery.
 		log.Printf("gridschedd: snapshot failed (journal keeps growing): %v", err)
-		// Back off a full interval before retrying.
-		s.pst.sinceSnapshot.Store(0)
 	}
 }
 
-// snapshot serializes the full service state and rotates the log.
-// Stop-the-world under every shard plus the coordinator (lockAll): for
-// the workload sizes gridschedd serves this is milliseconds, and it runs
-// only every SnapshotEvery records. With all stripes held no append can
-// be in flight, so LastLSN names a frozen log position whose every
-// record's effect the snapshot contains. Callers hold snapMu.
+// snapshot writes a checkpoint of the whole service and compacts the log
+// behind it. Only the capture stops the world; encoding, writing and
+// compaction run with no service lock held, while dispatch goes on.
+// Callers hold snapMu.
 func (s *Service) snapshot() error {
-	pauseStart := time.Now()
+	snap, mark, journalBytes := s.capture()
+	s.snapshotStep("captured")
+	start := time.Now()
+	n, err := journal.WriteFileAtomicFunc(s.snapshotPath(), func(w io.Writer) error {
+		return writeSnapshot(w, snap)
+	})
+	if err == nil {
+		s.snapshotStep("durable")
+		err = s.pst.w.CompactThrough(mark)
+	}
+	s.counters.ObserveSnapshotWrite(time.Since(start).Nanoseconds())
+	if err != nil {
+		return err
+	}
+	s.pst.dueBytes.Store(journalBytes + n)
+	s.counters.Snapshots.Add(1)
+	s.counters.SnapshotBytes.Store(n)
+	return nil
+}
+
+// snapshotStep runs the test hook, if any, at a named snapshot step.
+func (s *Service) snapshotStep(name string) {
+	if s.pst.hook != nil {
+		s.pst.hook(name)
+	}
+}
+
+// capture is the snapshot's stop-the-world step. Under every shard plus
+// the coordinator (lockAll) no append can be in flight, so the log mark
+// it takes names a frozen position whose every record's effect the
+// returned state contains. It copies only what later mutation could
+// change: job metadata and counters, the tenant table, worker telemetry.
+// The heavy parts are shared, not copied: a workload is immutable, and a
+// ledger is append-only, so its prefix j.ledger[:n:n] never changes. It
+// also returns the journal byte count at the mark, and restarts the
+// record count of the snapshot cadence.
+func (s *Service) capture() (*snapshot, journal.Mark, int64) {
+	start := time.Now()
 	s.lockAll()
-	snap := snapshot{
+	defer func() {
+		s.unlockAll()
+		s.counters.ObserveSnapshotPause(time.Since(start).Nanoseconds())
+	}()
+	mark := s.pst.w.Mark()
+	snap := &snapshot{
 		Version:        snapshotVersion,
 		Seq:            s.seq.Load(),
 		PartitionIndex: s.cfg.PartitionIndex,
 		PartitionCount: s.cfg.PartitionCount,
-		LastLSN:        s.pst.w.LastLSN(),
+		LastLSN:        mark.LSN,
 		Carry:          s.pst.carry,
 		VTime:          s.coord.vtime,
 	}
@@ -392,37 +479,105 @@ func (s *Service) snapshot() error {
 			// Running jobs re-derive speculated (and the rest of the
 			// counters' replayable parts) from the ledger.
 			sj.Workload = j.w
-			sj.Ledger = j.ledger
+			sj.Ledger = j.ledger[:len(j.ledger):len(j.ledger)]
 			sj.Fair = j.fair
 		}
 		snap.Jobs = append(snap.Jobs, sj)
 	}
 	snap.Workers = s.tel.snapshotWorkers()
-	// The locks stay held through the file replacement AND the rotation:
-	// Rotate truncates the whole log, so an append landing between the
-	// LastLSN capture and the truncation would be destroyed without being
-	// represented in the snapshot. With every stripe held no such append
-	// can exist. The full lockAll→unlockAll span is the stop-the-world
-	// pause every in-flight request rides out; record it so the pause is
-	// visible in /metrics rather than only as tail latency.
-	defer func() {
-		s.unlockAll()
-		s.counters.ObserveSnapshotPause(time.Since(pauseStart).Nanoseconds())
-	}()
-	data, err := json.Marshal(&snap)
+	s.pst.sinceSnapshot.Store(0)
+	return snap, mark, s.pst.journalMetrics.Bytes.Load()
+}
+
+// snapChunk is how many encoded bytes writeSnapshot gathers before it
+// writes them on.
+const snapChunk = 32 << 10
+
+// writeSnapshot streams the JSON encoding of snap to out: the bytes of
+// json.Marshal(snap), built without the whole document in memory.
+// Workloads and ledgers, nearly all of a snapshot, go through
+// reflection-free encoders; they are the last fields of their structs,
+// and Jobs the last of snapshot's, so everything before them can be
+// marshaled as usual with its closing brace cut off.
+func writeSnapshot(out io.Writer, snap *snapshot) error {
+	head := *snap
+	head.Jobs = nil
+	b, err := json.Marshal(&head)
 	if err != nil {
 		return err
 	}
-	if err := journal.WriteFileAtomic(s.snapshotPath(), data); err != nil {
+	b = b[:len(b)-len("null}")] // reopen at `"jobs":`
+	if snap.Jobs == nil {
+		_, err = out.Write(append(b, "null}"...))
 		return err
 	}
-	if err := s.pst.w.Rotate(); err != nil {
-		return err
+	b = append(b, '[')
+	for i := range snap.Jobs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = appendSnapJob(b, out, &snap.Jobs[i]); err != nil {
+			return err
+		}
 	}
-	s.pst.sinceSnapshot.Store(0)
-	s.counters.Snapshots.Add(1)
-	s.counters.SnapshotBytes.Store(int64(len(data)))
-	return nil
+	_, err = out.Write(append(b, "]}"...))
+	return err
+}
+
+// appendSnapJob appends the encoding of sj to b, writing b to out and
+// restarting it whenever the job's workload or ledger makes it large.
+func appendSnapJob(b []byte, out io.Writer, sj *snapJob) ([]byte, error) {
+	light := *sj
+	light.Workload, light.Ledger = nil, nil
+	lb, err := json.Marshal(&light)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, lb[:len(lb)-1]...)
+	if sj.Workload != nil {
+		b = append(b, `,"workload":`...)
+		if _, err := out.Write(b); err != nil {
+			return nil, err
+		}
+		if err := sj.Workload.WriteJSON(out); err != nil {
+			return nil, err
+		}
+		b = b[:0]
+	}
+	if len(sj.Ledger) > 0 {
+		b = append(b, `,"ledger":[`...)
+		for i, e := range sj.Ledger {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendLedgerRec(b, e)
+			if len(b) >= snapChunk {
+				if _, err := out.Write(b); err != nil {
+					return nil, err
+				}
+				b = b[:0]
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendLedgerRec appends e as encoding/json would encode a ledgerRec.
+func appendLedgerRec(b []byte, e ledgerRec) []byte {
+	b = append(b, `{"op":`...)
+	b = strconv.AppendUint(b, uint64(e.Op), 10)
+	b = append(b, `,"t":`...)
+	b = strconv.AppendInt(b, int64(e.Task), 10)
+	b = append(b, `,"s":`...)
+	b = strconv.AppendInt(b, int64(e.Site), 10)
+	b = append(b, `,"w":`...)
+	b = strconv.AppendInt(b, int64(e.Worker), 10)
+	if e.Ts != 0 {
+		b = append(b, `,"ms":`...)
+		b = strconv.AppendInt(b, e.Ts, 10)
+	}
+	return append(b, '}')
 }
 
 // replayAssignSched drives sched into the post-dispatch state for (id, at):

@@ -87,10 +87,11 @@ func (s *Service) recover() error {
 	if err := os.MkdirAll(s.pst.dir, 0o755); err != nil {
 		return err
 	}
-	// Sweep snapshot temp files orphaned by a crash between CreateTemp and
-	// rename; without this every crash-during-snapshot leaks one file into
-	// the data dir forever.
-	if stale, err := filepath.Glob(s.snapshotPath() + ".tmp*"); err == nil {
+	// Sweep snapshot and compaction temp files orphaned by a crash
+	// between CreateTemp and rename; without this every crash during a
+	// snapshot or a compaction leaks one file into the data dir forever.
+	for _, path := range []string{s.snapshotPath(), s.walPath()} {
+		stale, _ := filepath.Glob(path + ".tmp*") // the pattern is valid
 		for _, p := range stale {
 			_ = os.Remove(p)
 		}

@@ -312,8 +312,8 @@ func TestRecoveryTruncatesTornJournalTail(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompactsJournal checks the snapshot/rotate cycle: after a
-// snapshot the journal restarts near-empty and recovery still sees
+// TestSnapshotCompactsJournal checks the snapshot/compaction cycle: after
+// a snapshot the journal restarts near-empty and recovery still sees
 // everything.
 func TestSnapshotCompactsJournal(t *testing.T) {
 	dir := t.TempDir()
@@ -335,7 +335,7 @@ func TestSnapshotCompactsJournal(t *testing.T) {
 	}
 	postSize := fileSize(t, filepath.Join(dir, "wal.log"))
 	if postSize >= preSize {
-		t.Fatalf("rotation did not shrink the journal: %d -> %d bytes", preSize, postSize)
+		t.Fatalf("compaction did not shrink the journal: %d -> %d bytes", preSize, postSize)
 	}
 	if fileSize(t, filepath.Join(dir, "snapshot.json")) == 0 {
 		t.Fatal("no snapshot written")

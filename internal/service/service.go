@@ -45,8 +45,10 @@
 // Lock ordering: a shard lock may be held while acquiring the coordinator
 // or the registry (one at a time, never both); the coordinator may be held
 // while acquiring the commit stage or the wakeup hub; no path ever holds
-// two shard locks (the stop-the-world snapshot is the one exception and
-// acquires shards in index order). Read-mostly endpoints (/v1/status,
+// two shard locks. The snapshot capture is the one exception: it acquires
+// every shard in index order plus the coordinator, copies what the
+// snapshot needs and takes the journal's mark, then releases them all
+// before anything is encoded, written or compacted (persist.go). Read-mostly endpoints (/v1/status,
 // /v1/tenants, /metrics) are served from atomic counters plus brief
 // per-shard copy-on-read, so they never block dispatch. Long-poll waiters
 // park outside every lock on a broadcast hub and are woken by any state
@@ -177,9 +179,10 @@ type Config struct {
 	Fsync journal.Mode
 	// FsyncInterval is the SyncBatch flush cadence. Defaults to 25ms.
 	FsyncInterval time.Duration
-	// SnapshotEvery is how many journal records accumulate before the
-	// service writes a compacting snapshot and rotates the journal.
-	// Defaults to 4096.
+	// SnapshotEvery is the minimum number of journal records between
+	// compacting snapshots. A snapshot also waits until the journal has
+	// grown by the previous snapshot's size, so replay work stays bounded
+	// by snapshot-load work. Defaults to 4096.
 	SnapshotEvery int
 
 	// Clock overrides the service's time source: journal timestamps,
@@ -510,7 +513,7 @@ type Service struct {
 	// the background sweeper runs unconditionally.
 	nextSweep atomic.Int64
 
-	snapMu    sync.Mutex // serializes stop-the-world snapshots
+	snapMu    sync.Mutex // serializes snapshots
 	sweepStop chan struct{}
 	sweepDone chan struct{}
 }

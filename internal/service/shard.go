@@ -8,9 +8,8 @@
 //
 // Lock ordering (see the package comment): a shard may acquire the
 // coordinator or the registry while held; nothing acquires a shard while
-// holding either, and no path holds two shards (lockAll, the
-// stop-the-world snapshot path, is the exception and takes them in index
-// order).
+// holding either, and no path holds two shards (lockAll, the snapshot
+// capture, is the exception and takes them in index order).
 package service
 
 import (
@@ -53,9 +52,9 @@ func (s *Service) shardOf(jobID string) *shard {
 }
 
 // lockAll acquires every shard in index order plus the coordinator — the
-// stop-the-world entry for snapshots. With all stripes held no append
-// path can run (each holds a shard or the coordinator), so the journal
-// position is frozen too.
+// stop-the-world entry for the snapshot capture. With all stripes held no
+// append path can run (each holds a shard or the coordinator), so the
+// journal position is frozen too.
 func (s *Service) lockAll() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -8,11 +8,14 @@ import (
 	"os"
 )
 
-// Write serializes the workload as JSON to w.
+// Write serializes the workload as JSON to w, newline-terminated — the
+// bytes a json.Encoder would write.
 func (w *Workload) Write(out io.Writer) error {
 	bw := bufio.NewWriter(out)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(w); err != nil {
+	if err := w.WriteJSON(bw); err != nil {
+		return fmt.Errorf("workload: encode: %w", err)
+	}
+	if err := bw.WriteByte('\n'); err != nil {
 		return fmt.Errorf("workload: encode: %w", err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -39,6 +39,9 @@ func (w *Workload) Validate() error {
 	if w.NumFiles <= 0 {
 		return fmt.Errorf("workload %q: NumFiles = %d", w.Name, w.NumFiles)
 	}
+	// stamp[f] is one more than the index of the last task seen naming
+	// file f: one allocation finds duplicates in every task.
+	var stamp []int
 	for i, t := range w.Tasks {
 		if t.ID != TaskID(i) {
 			return fmt.Errorf("workload %q: task %d has id %d", w.Name, i, t.ID)
@@ -46,15 +49,17 @@ func (w *Workload) Validate() error {
 		if len(t.Files) == 0 {
 			return fmt.Errorf("workload %q: task %d has no files", w.Name, i)
 		}
-		seen := make(map[FileID]struct{}, len(t.Files))
+		if stamp == nil {
+			stamp = make([]int, w.NumFiles)
+		}
 		for _, f := range t.Files {
 			if f < 0 || int(f) >= w.NumFiles {
 				return fmt.Errorf("workload %q: task %d references file %d outside [0,%d)", w.Name, i, f, w.NumFiles)
 			}
-			if _, dup := seen[f]; dup {
+			if stamp[f] == i+1 {
 				return fmt.Errorf("workload %q: task %d references file %d twice", w.Name, i, f)
 			}
-			seen[f] = struct{}{}
+			stamp[f] = i + 1
 		}
 	}
 	return nil
