@@ -36,6 +36,8 @@ func (d *daemon) wait() error {
 	return d.waitErr
 }
 
+// startDaemon starts one partition process; the test kills it when it
+// ends, so a restarted partition is reaped like the original.
 func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	d := &daemon{waitCh: make(chan error, 1)}
@@ -46,6 +48,7 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 		t.Fatal(err)
 	}
 	go func() { d.waitCh <- d.cmd.Wait() }()
+	t.Cleanup(d.stop)
 	return d
 }
 
@@ -151,7 +154,6 @@ func TestPartitionGauntletKill9(t *testing.T) {
 			"-partition-index", fmt.Sprint(i), "-partition-count", fmt.Sprint(parts),
 		}
 		daemons[i] = startDaemon(t, bin, partArgs[i]...)
-		defer daemons[i].stop()
 		waitHealthy(t, client.New("http://"+addrs[i], nil))
 	}
 

@@ -31,9 +31,9 @@ type followerEnv struct {
 // runFollower starts the hot standby: replicate the leader's journal,
 // serve the read-only surface, and flip to leader on POST
 // /v1/replication/promote (or automatically after -auto-promote without
-// leader contact). Promotion runs the full recovery path over the
-// replicated data dir and swaps the promoted service's handler in; the
-// listener, its port, and the ingress chain all stay.
+// leader contact). Promotion finishes the recovery the standby has been
+// running over the replicated journal and swaps the promoted service's
+// handler in; the listener, its port, and the ingress chain all stay.
 func runFollower(ctx context.Context, env followerEnv) error {
 	fl, err := gridsched.NewFollower(env.svcCfg, gridsched.FollowerConfig{
 		Leader: env.leader,

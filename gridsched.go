@@ -199,8 +199,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // Replication aliases: the hot-standby follower behind gridschedd -follow
 // (docs/REPLICATION.md).
 type (
-	// Follower is a hot standby replicating a leader's journal; Promote
-	// turns it into a live Service via the recovery path.
+	// Follower is a hot standby applying a leader's journal through the
+	// recovery path as it streams in; Promote finishes that recovery and
+	// returns the live Service.
 	Follower = service.Follower
 	// FollowerConfig parameterizes the replication client of a Follower.
 	FollowerConfig = service.FollowerConfig

@@ -102,11 +102,11 @@ type WorkerRef struct {
 // — engines reuse the backing buffers across batches, so an
 // implementation that needs the file lists later must copy them.
 //
-// Concurrency contract: implementations are not safe for concurrent use.
-// The simulator is single-threaded; the gridschedd service
-// (internal/service) serializes all scheduler access under its own lock.
-// Embedders driving a scheduler from multiple goroutines directly must
-// wrap it in NewSynchronized or serialize calls themselves.
+// Concurrency contract: implementations are not safe for concurrent use,
+// and the engines driving them serialize access. The simulator is
+// single-threaded; the gridschedd service (internal/service) calls a job's
+// scheduler only under that job's shard lock. An embedder driving one
+// scheduler from several goroutines must serialize the calls the same way.
 type Scheduler interface {
 	Name() string
 	AttachSite(site int)

@@ -1,8 +1,9 @@
 // Package replicate implements hot-standby WAL replication for
 // gridschedd: a leader streams journal frames to followers over one
 // long-lived chunked HTTP response, and a follower persists them through
-// its own journal.Writer so that promotion is nothing more than the
-// recovery path the single-node gauntlet already proves bit-exact.
+// its own journal.Writer and applies them through the recovery code the
+// single-node gauntlet already proves bit-exact, so that promotion is
+// nothing more than recovery's last step.
 //
 // # Wire format
 //

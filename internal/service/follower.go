@@ -8,8 +8,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,27 +18,33 @@ import (
 	"gridsched/internal/service/api"
 )
 
-// Follower is a hot standby: it streams the leader's WAL
-// (internal/replicate), persists every frame through its own
-// journal.Writer, and keeps a read-only catalog of job and tenant state
-// folded from the very records recovery would replay. It serves status
-// endpoints and rejects mutations with a leader redirect; Promote ends
-// the stream and runs the full recovery path (New) over the replicated
-// data dir — the same code path the kill -9 gauntlet proves bit-exact —
-// returning a live leader Service.
+// Follower is a hot standby. It streams the leader's WAL
+// (internal/replicate), persists every frame through its own journal
+// writer, and applies it to a replica Service through the same apply step
+// New runs over a journal tail: the replica is a recovery that keeps
+// going. Its schedulers, site stores and fair-share state are the real
+// ones, so it serves job status exactly as the leader does at the same
+// LSN, and tenant status up to the leader's liveness fields (leases in
+// flight, share window, throttles); mutations get a leader redirect.
+// Promote stops the stream and runs recovery's finish step on the
+// replica, returning it as a live leader Service without reading the
+// journal again.
 type Follower struct {
-	svcCfg Config // normalized; used verbatim at promotion
+	svcCfg Config // normalized; the replica's configuration
 	cfg    FollowerConfig
 
 	repl *metrics.ReplicationCounters
 	jmet *journal.Metrics
 
-	mu     sync.Mutex
-	w      *journal.Writer
-	cat    *catalog
-	last   uint64 // last LSN applied locally
-	halted error  // terminal stream divergence; nil while healthy
+	// svc is the replica. Reads load it without f.mu: they take the locks
+	// apply takes. ApplySnapshot swaps in a rebuilt one.
+	svc atomic.Pointer[Service]
 
+	mu     sync.Mutex // serializes apply, snapshot install, promotion, close
+	halted error      // terminal stream failure; nil while healthy
+	closed bool
+
+	last        atomic.Uint64 // last LSN applied locally
 	leaderLSN   atomic.Uint64
 	lastContact atomic.Int64 // unix nanos of the last leader contact
 	promoting   atomic.Bool
@@ -69,9 +73,9 @@ type FollowerConfig struct {
 }
 
 // NewFollower opens (or resumes) the replicated data dir under cfg.DataDir
-// and starts streaming from the leader. The local state is validated the
-// same way recovery would — snapshot load plus journal tail scan — but
-// folded into a read-only catalog instead of live schedulers.
+// and starts streaming from the leader. The local state is loaded by
+// recovery's open step, so a data dir that New would refuse — another
+// partition's, or a corrupt one — is refused here too.
 func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -96,7 +100,7 @@ func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if err := f.openLocal(); err != nil {
+	if err := f.openReplica(); err != nil {
 		return nil, err
 	}
 	f.touchContact()
@@ -104,69 +108,22 @@ func NewFollower(cfg Config, fcfg FollowerConfig) (*Follower, error) {
 	return f, nil
 }
 
-func (f *Follower) walPath() string { return filepath.Join(f.svcCfg.DataDir, walFile) }
-func (f *Follower) snapPath() string {
-	return filepath.Join(f.svcCfg.DataDir, snapshotFile)
-}
-
-// openLocal loads whatever replicated state already exists on disk:
-// snapshot into the catalog, journal tail folded on top, writer opened at
-// the validated prefix — a restartable follower, not a from-scratch one.
-func (f *Follower) openLocal() error {
-	if err := os.MkdirAll(f.svcCfg.DataDir, 0o755); err != nil {
-		return err
-	}
-	snap, err := readLocalSnapshot(f.snapPath())
+// openReplica builds the replica over the data dir with recovery's open
+// step and installs it: the snapshot, the local log tail, and the writer
+// the stream appends to.
+func (f *Follower) openReplica() error {
+	s, err := newService(f.svcCfg)
 	if err != nil {
 		return err
 	}
-	cat := newCatalog(f.svcCfg.DefaultWeight, f.svcCfg.TenantMaxInFlight)
-	if snap != nil {
-		if snap.Version != snapshotVersion {
-			return fmt.Errorf("service: snapshot version %d (want %d)", snap.Version, snapshotVersion)
-		}
-		cat.loadSnapshot(snap)
-	}
-	after := uint64(0)
-	if snap != nil {
-		after = snap.LastLSN
-	}
-	info, err := journal.ReadLog(f.walPath(), after, func(lsn uint64, payload []byte) error {
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("service: journal record %d: %w", lsn, err)
-		}
-		cat.applyRecord(&rec)
-		return nil
-	})
-	if err != nil {
+	s.pst.journalMetrics = f.jmet // one series across snapshot installs
+	if err := s.open(); err != nil {
 		return err
 	}
-	last := max(after, info.LastLSN)
-	w, err := journal.OpenWriter(f.walPath(), f.svcCfg.Fsync, f.svcCfg.FsyncInterval, last, info.ValidSize, f.jmet)
-	if err != nil {
-		return err
-	}
-	f.w, f.cat, f.last = w, cat, last
-	f.repl.LocalLSN.Store(int64(last))
+	f.svc.Store(s)
+	f.last.Store(s.pst.w.LastLSN())
+	f.repl.LocalLSN.Store(int64(s.pst.w.LastLSN()))
 	return nil
-}
-
-// readLocalSnapshot parses the follower's on-disk snapshot, nil when none
-// exists yet.
-func readLocalSnapshot(path string) (*snapshot, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("service: snapshot %s: %w", path, err)
-	}
-	return &snap, nil
 }
 
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
@@ -197,12 +154,13 @@ func (f *Follower) run() {
 			return
 		default:
 		}
-		if errors.Is(err, replicate.ErrDiverged) || errors.Is(err, errFollowerWAL) {
+		if errors.Is(err, replicate.ErrDiverged) || errors.Is(err, errReplicaFailed) {
 			// Halt rather than diverge: applying past a gap, a rewinding
 			// snapshot, or a poisoned local journal could only produce a
 			// log that disagrees with the leader's. The follower keeps
-			// serving its (valid-prefix) catalog; an operator restarts it
-			// to re-sync, or promotes it if the leader is gone.
+			// serving its replica of the valid prefix; an operator
+			// restarts it to re-sync, or promotes it if the leader is gone
+			// (unless the replica itself failed: see errReplicaFailed).
 			f.mu.Lock()
 			f.halted = err
 			f.mu.Unlock()
@@ -227,36 +185,33 @@ func (f *Follower) run() {
 	}
 }
 
-// errFollowerWAL wraps local journal failures — terminal for the stream,
-// since a poisoned writer can never apply another frame.
-var errFollowerWAL = errors.New("service: follower journal failed")
+// errReplicaFailed marks a failure of the follower's own journal or
+// replica. It ends the stream, and it refuses promotion: the replica no
+// longer matches the log. Restarting the follower recovers it from the
+// data dir.
+var errReplicaFailed = errors.New("service: follower replica failed")
 
-// ApplyFrame persists one streamed record and folds it into the catalog.
+// ApplyFrame persists one streamed record and applies it to the replica.
 // replicate.Replay has already proven lsn is exactly last+1.
 func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.w == nil {
-		return fmt.Errorf("service: follower is promoting")
-	}
-	got, err := f.w.Append(payload)
+	s := f.svc.Load()
+	got, err := s.pst.w.Append(payload)
 	if err != nil {
-		return fmt.Errorf("%w: %v", errFollowerWAL, err)
+		return fmt.Errorf("%w: %v", errReplicaFailed, err)
 	}
 	if got != lsn {
 		// The writer's LSN sequence is seeded from the replicated log, so
 		// this can only mean local and leader histories disagree.
 		return fmt.Errorf("%w: local writer assigned lsn %d, stream says %d", replicate.ErrDiverged, got, lsn)
 	}
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		// The bytes are already durable and identical to the leader's;
-		// recovery at promotion would fail on them exactly as the leader
-		// would. Surface it now instead of serving a stale catalog.
-		return fmt.Errorf("%w: undecodable record at lsn %d: %v", replicate.ErrDiverged, lsn, err)
+	if err := s.apply(lsn, payload); err != nil {
+		// The bytes are durable and identical to the leader's; a recovery
+		// over them would fail exactly as this apply did.
+		return fmt.Errorf("%w: %w: %v", replicate.ErrDiverged, errReplicaFailed, err)
 	}
-	f.cat.applyRecord(&rec)
-	f.last = lsn
+	f.last.Store(lsn)
 	f.repl.FramesApplied.Add(1)
 	f.repl.LocalLSN.Store(int64(lsn))
 	if l := f.leaderLSN.Load(); lsn > l {
@@ -267,45 +222,39 @@ func (f *Follower) ApplyFrame(lsn uint64, payload []byte) error {
 	return nil
 }
 
-// ApplySnapshot installs a full catch-up snapshot: the on-disk snapshot
-// file is replaced atomically, the local WAL resets to an empty log
-// seeded at the snapshot's LSN (the state a leader's log would have had
-// it compacted with nothing appended since), and the catalog is rebuilt.
+// ApplySnapshot installs a full catch-up snapshot. A snapshot New would
+// refuse (another version, another partition) is refused as divergence.
+// Otherwise the snapshot file is replaced atomically, the local WAL
+// restarts empty at the snapshot's LSN (the log a leader has after
+// compacting with nothing appended since), and the replica is rebuilt
+// from the new snapshot by recovery's open step.
 func (f *Follower) ApplySnapshot(lsn uint64, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.w == nil {
-		return fmt.Errorf("service: follower is promoting")
-	}
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("%w: undecodable snapshot: %v", replicate.ErrDiverged, err)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("%w: snapshot version %d (want %d)", replicate.ErrDiverged, snap.Version, snapshotVersion)
-	}
 	if snap.LastLSN != lsn {
 		return fmt.Errorf("%w: snapshot body covers lsn %d, header says %d", replicate.ErrDiverged, snap.LastLSN, lsn)
 	}
-	if err := journal.WriteFileAtomic(f.snapPath(), data); err != nil {
-		return fmt.Errorf("%w: %v", errFollowerWAL, err)
+	if err := f.svcCfg.checkSnapshot(&snap); err != nil {
+		return fmt.Errorf("%w: %v", replicate.ErrDiverged, err)
 	}
-	if err := f.w.Close(); err != nil {
+	old := f.svc.Load()
+	if err := journal.WriteFileAtomic(old.snapshotPath(), data); err != nil {
+		return fmt.Errorf("%w: %v", errReplicaFailed, err)
+	}
+	if err := old.pst.w.Close(); err != nil {
 		log.Printf("gridschedd: follower journal close before snapshot reset: %v", err)
 	}
-	// validSize 0 resets the file to a fresh empty log; the LSN sequence
-	// continues from the snapshot position.
-	w, err := journal.OpenWriter(f.walPath(), f.svcCfg.Fsync, f.svcCfg.FsyncInterval, lsn, 0, f.jmet)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errFollowerWAL, err)
+	if err := os.Remove(old.walPath()); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("%w: %v", errReplicaFailed, err)
 	}
-	f.w = w
-	cat := newCatalog(f.svcCfg.DefaultWeight, f.svcCfg.TenantMaxInFlight)
-	cat.loadSnapshot(&snap)
-	f.cat = cat
-	f.last = lsn
+	if err := f.openReplica(); err != nil {
+		return fmt.Errorf("%w: %v", errReplicaFailed, err)
+	}
 	f.repl.SnapshotsApplied.Add(1)
-	f.repl.LocalLSN.Store(int64(lsn))
 	f.touchContact()
 	return nil
 }
@@ -317,12 +266,8 @@ func (f *Follower) Heartbeat(lastLSN uint64) {
 	f.touchContact()
 }
 
-// LastLSN is the last LSN the follower holds locally.
-func (f *Follower) LastLSN() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last
-}
+// LastLSN is the last LSN the follower has applied.
+func (f *Follower) LastLSN() uint64 { return f.last.Load() }
 
 // LeaderLSN is the leader's last announced LSN.
 func (f *Follower) LeaderLSN() uint64 { return f.leaderLSN.Load() }
@@ -340,38 +285,35 @@ func (f *Follower) Halted() error {
 	return f.halted
 }
 
-// Promote flips the follower live: the stream stops, the local journal is
-// synced and closed, and the full recovery path (New) rebuilds a leader
-// Service over the replicated data dir — schedulers, fair-share tags, RNG
-// state and all, exactly as the recovery-identity tests prove. The call
-// is synchronous: when it returns, the Service answers traffic. A second
-// call fails with 409.
+// Promote flips the follower live: the stream stops and recovery's finish
+// step runs on the replica — in-flight executions expire, the counters and
+// the arbiter heap are rebuilt, a snapshot compacts the log — and the
+// replica is returned as a live leader Service. The journal is not read
+// again: the replica already holds every frame applied. The call is
+// synchronous: when it returns, the Service answers traffic. A second
+// call fails with 409; a follower whose own journal or replica failed
+// refuses with 500.
 func (f *Follower) Promote() (*Service, error) {
 	if !f.promoting.CompareAndSwap(false, true) {
 		return nil, errf(http.StatusConflict, "service: promotion already requested")
 	}
 	f.shutdownStream()
 	f.mu.Lock()
-	w := f.w
-	f.w = nil
-	f.mu.Unlock()
-	if w != nil {
-		if err := w.Close(); err != nil {
-			// Everything acked to the leader's stream is in the page
-			// cache already; a failed final fsync only narrows
-			// machine-crash durability, it does not block promotion.
-			log.Printf("gridschedd: follower journal close at promotion: %v", err)
-		}
+	defer f.mu.Unlock()
+	switch {
+	case f.closed:
+		return nil, errf(http.StatusConflict, "service: follower closed")
+	case errors.Is(f.halted, errReplicaFailed):
+		return nil, errf(http.StatusInternalServerError, "service: promotion refused: %v", f.halted)
 	}
-	svc, err := New(f.svcCfg)
-	if err != nil {
-		f.mu.Lock()
-		f.halted = fmt.Errorf("service: promotion failed: %w", err)
-		f.mu.Unlock()
+	s := f.svc.Load()
+	if err := s.finish(); err != nil {
+		f.halted = fmt.Errorf("%w: promotion failed: %v", errReplicaFailed, err)
 		return nil, errf(http.StatusInternalServerError, "service: promotion failed: %v", err)
 	}
+	s.start()
 	f.promoted.Store(true)
-	return svc, nil
+	return s, nil
 }
 
 // Promoted reports whether Promote succeeded.
@@ -388,12 +330,12 @@ func (f *Follower) shutdownStream() {
 func (f *Follower) Close() {
 	f.shutdownStream()
 	f.mu.Lock()
-	w := f.w
-	f.w = nil
-	f.mu.Unlock()
-	if w != nil {
-		_ = w.Close()
+	defer f.mu.Unlock()
+	if f.closed || f.promoted.Load() {
+		return
 	}
+	f.closed = true
+	_ = f.svc.Load().pst.w.Close()
 }
 
 // lag is LeaderLSN - LastLSN, clamped at 0 (the follower can briefly know
@@ -406,31 +348,18 @@ func (f *Follower) lag() uint64 {
 	return leader - local
 }
 
-// Handler is the follower's HTTP surface: read-only status from the
-// catalog, truthful probes, and a 421 + leader-redirect for everything
-// mutating. Mount it behind the same ingress chain as a leader.
+// Handler is the follower's HTTP surface: the leader's own read handlers
+// over the replica, truthful probes, and a 421 + leader-redirect for
+// everything mutating. Mount it behind the same ingress chain as a leader.
 func (f *Follower) Handler() http.Handler {
+	read := func(h func(*Service, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { h(f.svc.Load(), w, r) }
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.snapshotJobs())
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := f.snapshotJob(r.PathValue("id"))
-		if !ok {
-			writeError(w, errf(http.StatusNotFound, "service: unknown job %q", r.PathValue("id")))
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.snapshotTenants())
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		jobs := len(f.cat.jobs)
-		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, api.Health{Status: "ok", Jobs: jobs})
-	})
+	mux.HandleFunc("GET /v1/jobs", read((*Service).handleJobs))
+	mux.HandleFunc("GET /v1/jobs/{id}", read((*Service).handleJob))
+	mux.HandleFunc("GET /v1/tenants", read((*Service).handleTenants))
+	mux.HandleFunc("GET /healthz", read((*Service).handleHealthz))
 	mux.HandleFunc("GET /readyz", f.handleReadyz)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
 	mux.HandleFunc("/", f.redirectToLeader)
@@ -471,33 +400,5 @@ func (f *Follower) redirectToLeader(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (f *Follower) snapshotJobs() []api.JobStatus {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cat.jobStatuses()
-}
-
-func (f *Follower) snapshotJob(id string) (api.JobStatus, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	j, ok := f.cat.jobs[id]
-	if !ok {
-		return api.JobStatus{}, false
-	}
-	return j.status(), true
-}
-
-func (f *Follower) snapshotTenants() []api.TenantStatus {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cat.tenantStatuses()
-}
-
 // ReplicationCounters exposes the follower's metrics for embedding.
 func (f *Follower) ReplicationCounters() *metrics.ReplicationCounters { return f.repl }
-
-// sortJobStatuses orders by numeric job id — the same submission order
-// the leader's Jobs() uses.
-func sortJobStatuses(sts []api.JobStatus) {
-	sort.Slice(sts, func(i, k int) bool { return idNum(sts[i].ID) < idNum(sts[k].ID) })
-}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -63,18 +64,8 @@ func getJSON(t *testing.T, h http.Handler, path string, out any) *http.Response 
 	return resp
 }
 
-// normalizeForFollower blanks the live-only fields a read-only catalog
-// cannot know: in-flight assignment state and the simulated transfer
-// counters that live inside the scheduler.
-func normalizeForFollower(sts []api.JobStatus) []api.JobStatus {
-	out := make([]api.JobStatus, len(sts))
-	for i, st := range sts {
-		st.Transfers = 0
-		out[i] = st
-	}
-	return out
-}
-
+// normalizeTenants blanks the liveness fields only a leader has: leases
+// in flight, the achieved-share window, and quota throttles.
 func normalizeTenants(sts []api.TenantStatus) []api.TenantStatus {
 	out := make([]api.TenantStatus, len(sts))
 	for i, st := range sts {
@@ -123,8 +114,7 @@ func TestFollowerMirrorsLeader(t *testing.T) {
 
 	var gotJobs []api.JobStatus
 	getJSON(t, fl.Handler(), "/v1/jobs", &gotJobs)
-	wantJobs := normalizeForFollower(s.Jobs())
-	gotJobs = normalizeForFollower(gotJobs)
+	wantJobs := s.Jobs()
 	if len(gotJobs) != len(wantJobs) {
 		t.Fatalf("follower sees %d jobs, leader %d", len(gotJobs), len(wantJobs))
 	}
@@ -153,6 +143,102 @@ func TestFollowerMirrorsLeader(t *testing.T) {
 	getJSON(t, fl.Handler(), "/v1/jobs/"+done, &one)
 	if one.State != api.JobCompleted || one.Completed != 12 {
 		t.Fatalf("completed job on follower: %+v", one)
+	}
+}
+
+// rawGet returns the status and body h answers GET path with.
+func rawGet(t *testing.T, h http.Handler, path string) (int, string) {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+	return rr.Code, rr.Body.String()
+}
+
+// TestFollowerReadsByteIdenticalAtEqualLSN: with no lease outstanding,
+// the standby's /v1/jobs and /v1/jobs/{id} bodies equal the leader's byte
+// for byte at the same LSN — Transfers and Remaining included, since they
+// come from the replica's real schedulers and stores. The history covers
+// a job deleted in the tail, a completed job, a speculative twin that beat
+// its straggler, and a half-done job of another tenant. Reads run against
+// the follower the whole time it applies, for the race detector.
+func TestFollowerReadsByteIdenticalAtEqualLSN(t *testing.T) {
+	clk := &policyClock{base: time.Unix(1_700_000_000, 0)}
+	s, err := service.New(specDurableConfig(t.TempDir(), clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	fl := startFollower(t, srv.URL)
+	stopReads := make(chan struct{})
+	readsDone := make(chan struct{})
+	go func() {
+		defer close(readsDone)
+		for {
+			select {
+			case <-stopReads:
+				return
+			default:
+			}
+			for _, path := range []string{"/v1/jobs", "/v1/jobs/j1", "/v1/tenants", "/healthz"} {
+				rr := httptest.NewRecorder()
+				fl.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+			}
+		}
+	}()
+	stopReading := sync.OnceFunc(func() { close(stopReads); <-readsDone })
+	t.Cleanup(stopReading)
+
+	gone, err := s.SubmitByName("gone", "workqueue", syntheticWorkload(6, 2), 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pullSequence(t, s, -1)
+	if err := s.DeleteJob(gone); err != nil {
+		t.Fatal(err)
+	}
+	done, err := s.SubmitByName("done", "rest", syntheticWorkload(10, 3), 7, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pullSequence(t, s, -1)
+	sp := stageSpeculation(t, s, clk, "combined.2", 12)
+	if rep, err := s.Report(sp.twin.ID, sp.fast.WorkerID, api.OutcomeSuccess); err != nil || !rep.Accepted {
+		t.Fatalf("twin report: %+v, %v", rep, err)
+	}
+	if rep, err := s.Report(sp.straggler.ID, sp.slow.WorkerID, api.OutcomeSuccess); err != nil || !rep.Cancelled {
+		t.Fatalf("straggler report: %+v, %v", rep, err)
+	}
+	half, err := s.SubmitJob(api.SubmitJobRequest{
+		Name: "half", Algorithm: "combined.2", Workload: syntheticWorkload(20, 3), Seed: 11, Tenant: "tb",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pullSequence(t, s, 6)
+	waitCaughtUp(t, fl, s)
+	stopReading()
+
+	var jobs []api.JobStatus
+	getJSON(t, s.Handler(), "/v1/jobs", &jobs)
+	if len(jobs) != 3 {
+		t.Fatalf("leader holds %d jobs, want 3: %+v", len(jobs), jobs)
+	}
+	for _, st := range jobs {
+		if st.ID == sp.jobID && st.Speculated != 1 {
+			t.Fatalf("speculative job %+v", st)
+		}
+		if st.State == api.JobRunning && (st.Remaining == 0 || st.Transfers == 0) {
+			t.Fatalf("running job with nothing live to compare: %+v", st)
+		}
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/jobs/" + gone, "/v1/jobs/" + done, "/v1/jobs/" + sp.jobID, "/v1/jobs/" + half} {
+		wantCode, want := rawGet(t, s.Handler(), path)
+		gotCode, got := rawGet(t, fl.Handler(), path)
+		if gotCode != wantCode || got != want {
+			t.Errorf("GET %s:\nfollower %d %s\nleader   %d %s", path, gotCode, got, wantCode, want)
+		}
 	}
 }
 
@@ -224,8 +310,7 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 	}
 	var gotJobs []api.JobStatus
 	getJSON(t, fl.Handler(), "/v1/jobs", &gotJobs)
-	wantJobs := normalizeForFollower(s.Jobs())
-	gotJobs = normalizeForFollower(gotJobs)
+	wantJobs := s.Jobs()
 	if len(gotJobs) != 1 || !reflect.DeepEqual(gotJobs[0], wantJobs[0]) {
 		t.Fatalf("after snapshot catch-up:\nfollower %+v\nleader   %+v", gotJobs, wantJobs)
 	}
@@ -276,11 +361,11 @@ func TestFollowerTailsAcrossCompaction(t *testing.T) {
 		t.Fatalf("a follower behind the mark applied %d snapshots, want 1", n)
 	}
 
-	want := normalizeForFollower(s.Jobs())
+	want := s.Jobs()
 	for name, fl := range map[string]*service.Follower{"ahead": ahead, "behind": behind} {
 		var got []api.JobStatus
 		getJSON(t, fl.Handler(), "/v1/jobs", &got)
-		if got = normalizeForFollower(got); !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s follower:\n got %+v\nwant %+v", name, got, want)
 		}
 	}

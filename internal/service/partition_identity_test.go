@@ -1,11 +1,15 @@
 package service_test
 
 import (
+	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gridsched"
 	"gridsched/internal/partition"
+	"gridsched/internal/replicate"
 	"gridsched/internal/service"
 	"gridsched/internal/workload"
 )
@@ -131,6 +135,67 @@ func TestPartitionIdentityRecovery(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "migration") {
 			t.Fatalf("identity %v over partition-1-of-2 data dir: err = %v, want migration refusal", bad, err)
 		}
+	}
+}
+
+// TestFollowerRefusesForeignPartitionDir: a standby checks partition
+// identity the way recovery does, so another partition's data is refused
+// when the standby starts, not when it is promoted — both on disk and as
+// a catch-up snapshot from the leader, which it treats as divergence.
+func TestFollowerRefusesForeignPartitionDir(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := service.New(partitionedConfig(dir, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.SubmitByName("foreign", "workqueue", smallWorkload(2), 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	for _, bad := range [][2]int{{0, 2}, {0, 1}} {
+		fl, err := service.NewFollower(partitionedConfig(dir, bad[0], bad[1]),
+			service.FollowerConfig{Leader: "http://127.0.0.1:1"})
+		if err == nil {
+			fl.Close()
+			t.Fatalf("standby %v adopted a partition-1-of-2 data dir", bad)
+		}
+		if !strings.Contains(err.Error(), "migration") {
+			t.Fatalf("standby %v over partition-1-of-2 data dir: err = %v, want migration refusal", bad, err)
+		}
+	}
+
+	// A compacted leader log leaves a fresh standby only the snapshot.
+	leader, err := service.New(partitionedConfig(t.TempDir(), 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(leader.Close)
+	if _, err := leader.SubmitByName("foreign", "workqueue", smallWorkload(2), 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.SnapshotForTest(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(leader.Handler())
+	t.Cleanup(srv.Close)
+	fl, err := service.NewFollower(partitionedConfig(t.TempDir(), 0, 2),
+		service.FollowerConfig{Leader: srv.URL, ReconnectMax: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fl.Close)
+	deadline := time.Now().Add(5 * time.Second)
+	for fl.Halted() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("standby never refused the foreign snapshot")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := fl.Halted(); !errors.Is(err, replicate.ErrDiverged) || !strings.Contains(err.Error(), "migration") {
+		t.Fatalf("halt error %v, want a partition-identity divergence", err)
+	}
+	if n := fl.ReplicationCounters().SnapshotsApplied.Load(); n != 0 || fl.LastLSN() != 0 {
+		t.Fatalf("standby installed the foreign snapshot: %d applied, lsn %d", n, fl.LastLSN())
 	}
 }
 

@@ -492,6 +492,9 @@ type Service struct {
 	instance string
 	// pst is the journaling state; nil when Config.DataDir is unset.
 	pst *persistence
+	// replay is recovery's state between its open and finish steps
+	// (recovery.go); nil once the service runs.
+	replay *recoveryState
 
 	seq    atomic.Int64 // job/assignment/worker id sequence
 	closed atomic.Bool
@@ -519,12 +522,32 @@ type Service struct {
 }
 
 // New builds a service and starts its lease sweeper. With cfg.DataDir set
-// it first recovers the previous process's state from snapshot + journal;
-// the service is not reachable until recovery finished, so every response
-// it ever gives reflects the recovered history. Ready reports the
-// recovery status for /readyz-style probes that bind their listener
-// before construction completes.
+// it first recovers the previous process's state from snapshot + journal
+// (recovery.go); the service is not reachable until recovery finished, so
+// every response it ever gives reflects the recovered history. Ready
+// reports the recovery status for /readyz-style probes that bind their
+// listener before construction completes.
 func New(cfg Config) (*Service, error) {
+	s, err := newService(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.pst != nil {
+		if err := s.open(); err != nil {
+			return nil, err
+		}
+		if err := s.finish(); err != nil {
+			_ = s.pst.w.Close()
+			return nil, err
+		}
+	}
+	s.start()
+	return s, nil
+}
+
+// newService builds a service holding no state and running nothing: the
+// first step of New, and of a follower's replica.
+func newService(cfg Config) (*Service, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -555,17 +578,15 @@ func New(cfg Config) (*Service, error) {
 	// the classic 1, 2, 3, …
 	s.seq.Store(int64(cfg.PartitionIndex))
 	if cfg.DataDir != "" {
-		s.pst = &persistence{dir: cfg.DataDir}
-		if err := s.recover(); err != nil {
-			if s.pst.w != nil {
-				_ = s.pst.w.Close()
-			}
-			return nil, err
-		}
+		s.pst = &persistence{dir: cfg.DataDir, journalMetrics: &journal.Metrics{}}
 	}
+	return s, nil
+}
+
+// start marks the service ready and starts its lease sweeper.
+func (s *Service) start() {
 	s.ready.Store(true)
 	go s.sweeper()
-	return s, nil
 }
 
 // Counters exposes the service's metrics (also rendered at /metrics).
@@ -761,14 +782,8 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 		// sweeper keeps the flag current from here on.
 		j.urgent.Store(true)
 	}
-	for i := 0; i < s.cfg.Sites; i++ {
-		st, err := storage.New(s.cfg.CapacityFiles, s.cfg.Policy)
-		if err != nil {
-			return "", err
-		}
-		st.Reserve(w.NumFiles)
-		j.stores = append(j.stores, st)
-		sched.AttachSite(i)
+	if err := s.attachSites(j); err != nil {
+		return "", err
 	}
 
 	n := s.nextSeq()
@@ -829,6 +844,21 @@ func (s *Service) submitJob(req api.SubmitJobRequest, sched core.Scheduler) (str
 		return "", err
 	}
 	return j.id, nil
+}
+
+// attachSites gives j one empty store per site and attaches every site to
+// its scheduler.
+func (s *Service) attachSites(j *job) error {
+	for i := 0; i < s.cfg.Sites; i++ {
+		st, err := storage.New(s.cfg.CapacityFiles, s.cfg.Policy)
+		if err != nil {
+			return err
+		}
+		st.Reserve(j.w.NumFiles)
+		j.stores = append(j.stores, st)
+		j.sched.AttachSite(i)
+	}
+	return nil
 }
 
 // DeleteJob drops a completed job's record (retention control for
