@@ -78,6 +78,15 @@ func BenchmarkSchedulerRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerNoteBatch measures one NoteBatch call on the full
+// 6,000-task queue with a bounded LRU store behind the site, so batches
+// evict as well as fetch.
+func BenchmarkSchedulerNoteBatch(b *testing.B) {
+	for _, name := range []string{"overlap", "combined.2"} {
+		b.Run(name, benchsuite.SchedulerNoteBatch(name))
+	}
+}
+
 // BenchmarkWorkloadGeneration measures synthetic Coadd trace generation at
 // evaluation scale.
 func BenchmarkWorkloadGeneration(b *testing.B) { benchsuite.WorkloadGeneration(b) }

@@ -85,6 +85,8 @@ func run(args []string, stdout *os.File) error {
 		{"SchedulerRequest/overlap", benchsuite.SchedulerRequest("overlap")},
 		{"SchedulerRequest/rest", benchsuite.SchedulerRequest("rest")},
 		{"SchedulerRequest/combined", benchsuite.SchedulerRequest("combined")},
+		{"SchedulerNoteBatch/overlap", benchsuite.SchedulerNoteBatch("overlap")},
+		{"SchedulerNoteBatch/combined.2", benchsuite.SchedulerNoteBatch("combined.2")},
 		{"EndToEndSimulation", benchsuite.EndToEndSimulation},
 		{"WorkloadGeneration", benchsuite.WorkloadGeneration},
 		{"ServiceDispatchInProcess", benchsuite.ServiceDispatchInProcess},

@@ -31,6 +31,7 @@ import (
 	"gridsched/internal/service"
 	"gridsched/internal/service/api"
 	"gridsched/internal/service/client"
+	"gridsched/internal/storage"
 	"gridsched/internal/workload"
 )
 
@@ -99,6 +100,47 @@ func SchedulerRequest(algorithm string) func(b *testing.B) {
 				i++
 				sched.NoteBatch(0, task.Files, task.Files, nil)
 			}
+		}
+	}
+}
+
+// SchedulerNoteBatch returns a benchmark measuring one NoteBatch call
+// under real eviction: the full 6,000-task Coadd queue is dispatched from
+// one site staged through a bounded LRU store of 3,000 files, so batches
+// both fetch and evict, as in the service and the simulator. Only
+// NoteBatch is timed; the request and the staging that produce its
+// arguments run with the timer stopped.
+func SchedulerNoteBatch(algorithm string) func(b *testing.B) {
+	return func(b *testing.B) {
+		w, err := gridsched.NewCoaddWorkload(gridsched.DefaultCoaddSeed, 6000)
+		must(err, "workload")
+		cfg := gridsched.SimulationConfig{Workload: w}
+		var (
+			sched            core.Scheduler
+			store            *storage.Store
+			fetched, evicted []workload.FileID
+		)
+		b.ResetTimer()
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			var task workload.Task
+			st := core.Done
+			if sched != nil {
+				task, st = sched.NextFor(core.WorkerRef{Site: 0})
+			}
+			if st != core.Assigned {
+				sched, err = gridsched.NewScheduler(algorithm, w, cfg, 1)
+				must(err, algorithm)
+				store, err = storage.New(3000, storage.LRU)
+				must(err, "store")
+				sched.AttachSite(0)
+				task, _ = sched.NextFor(core.WorkerRef{Site: 0})
+			}
+			fetched, evicted, err = store.CommitBatchInto(task.Files, fetched[:0], evicted[:0])
+			must(err, "stage")
+			b.StartTimer()
+			sched.NoteBatch(0, task.Files, fetched, evicted)
+			b.StopTimer()
 		}
 	}
 }

@@ -288,10 +288,11 @@ func newSiteMirror(idx *fileIndex, tasks int) *siteMirror {
 // noteBatch applies one committed batch: evictions leave, fetched files
 // arrive, and every batch file gains one reference.
 //
-// When ix is non-nil (the mirror backs a WorkerCentric site index), every
-// per-task delta is routed through the index so its weight-class structures
-// stay in lock-step with overlap/refSum; with a nil ix the arrays are
-// updated directly (StorageAffinity and the test-only naive reference).
+// When ix is non-nil (the mirror backs a WorkerCentric site index), the
+// batch is handed to ix.noteBatch, which folds it into one net update per
+// touched task so the index's weight-class structures stay in lock-step
+// with overlap/refSum. With a nil ix the arrays are updated here directly
+// (StorageAffinity and the test-only naive reference).
 //
 // Redundant events — a fetch of an already-resident file, an eviction of an
 // absent one — are ignored, which keeps the invariant 0 <= overlap[t] <=
@@ -299,6 +300,10 @@ func newSiteMirror(idx *fileIndex, tasks int) *siteMirror {
 // engines never send them: fetched/evicted come from storage.Store, which
 // reports only actual insertions and evictions.)
 func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID, ix *siteIndex) {
+	if ix != nil {
+		ix.noteBatch(batch, fetched, evicted)
+		return
+	}
 	for _, f := range evicted {
 		if !m.resident[f] {
 			continue
@@ -306,17 +311,12 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID, ix *si
 		m.resident[f] = false
 		r := int64(m.refs[f])
 		tasks := m.idx.byFile[f]
-		switch {
-		case ix != nil:
-			for _, t := range tasks {
-				ix.overlapDelta(t, -1, -r)
-			}
-		case m.trackRefs:
+		if m.trackRefs {
 			for _, t := range tasks {
 				m.overlap[t]--
 				m.refSum[t] -= r
 			}
-		default:
+		} else {
 			for _, t := range tasks {
 				m.overlap[t]--
 			}
@@ -329,17 +329,12 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID, ix *si
 		m.resident[f] = true
 		r := int64(m.refs[f])
 		tasks := m.idx.byFile[f]
-		switch {
-		case ix != nil:
-			for _, t := range tasks {
-				ix.overlapDelta(t, 1, r)
-			}
-		case m.trackRefs:
+		if m.trackRefs {
 			for _, t := range tasks {
 				m.overlap[t]++
 				m.refSum[t] += r
 			}
-		default:
+		} else {
 			for _, t := range tasks {
 				m.overlap[t]++
 			}
@@ -356,15 +351,8 @@ func (m *siteMirror) noteBatch(batch, fetched, evicted []workload.FileID, ix *si
 		if !m.resident[f] {
 			continue
 		}
-		tasks := m.idx.byFile[f]
-		if ix != nil {
-			for _, t := range tasks {
-				ix.refDelta(t)
-			}
-		} else {
-			for _, t := range tasks {
-				m.refSum[t]++
-			}
+		for _, t := range m.idx.byFile[f] {
+			m.refSum[t]++
 		}
 	}
 }

@@ -385,6 +385,10 @@ func (s *WorkerCentric) OnExecutionFailed(id workload.TaskID, at WorkerRef) {
 // to distinct normalized floats at these magnitudes), so (refSum desc, id
 // asc) is exactly the (weight desc, id asc) order.
 //
+// NoteBatch reaches the index once per batch: siteIndex.noteBatch folds
+// the batch's (file, task) pairs into one net change per pending task and
+// then moves each such task once (see its comment).
+//
 // Invariants, restored after every mutation:
 //
 //  1. A task is in exactly one class structure iff it is pending: heap
@@ -419,6 +423,21 @@ type siteIndex struct {
 	// Combined-metric totals over the pending set (invariant 3).
 	needTotals bool
 	totalRef   int64
+
+	// noteBatch scratch: per task, the net change of the batch being
+	// folded, and the tasks that have one. All zero, and touched empty,
+	// between batches.
+	delta   []taskDelta
+	touched []workload.TaskID
+}
+
+// taskDelta is one task's net overlap and refSum change within a batch;
+// marked records that the task is on siteIndex.touched. The three share a
+// struct so that a fold step touches one cache line, not three.
+type taskDelta struct {
+	ref    int64
+	ov     int32
+	marked bool
 }
 
 func newSiteIndex(s *WorkerCentric, m *siteMirror) *siteIndex {
@@ -430,6 +449,7 @@ func newSiteIndex(s *WorkerCentric, m *siteMirror) *siteIndex {
 		sets:         make([][]uint64, classes),
 		counts:       make([]int32, classes),
 		pos:          make([]int32, len(s.w.Tasks)),
+		delta:        make([]taskDelta, len(s.w.Tasks)),
 		bits:         make([]uint64, (classes+63)/64),
 		keyIsOverlap: s.cfg.Metric == MetricOverlap,
 		rankByRef:    s.cfg.Metric == MetricCombined || s.cfg.Metric == MetricCombinedLiteral,
@@ -601,37 +621,101 @@ func (x *siteIndex) remove(t workload.TaskID) {
 	}
 }
 
-// overlapDelta applies a storage-content change to task t: overlap moves
-// by dOv and refSum by dRef. The class key always changes with overlap, so
-// a pending task is re-filed into its new class heap.
-func (x *siteIndex) overlapDelta(t workload.TaskID, dOv int32, dRef int64) {
-	pending := x.s.alive[t]
-	if pending {
-		x.remove(t)
-	}
-	x.m.overlap[t] += dOv
-	x.m.refSum[t] += dRef
-	if pending {
-		x.add(t)
-	}
-}
-
-// refDelta applies a reference-count bump (+1) to task t's refSum. The
-// class key is unchanged; only combined-metric heaps rank by refSum, and a
-// larger refSum can only move the task up.
-func (x *siteIndex) refDelta(t workload.TaskID) {
-	x.m.refSum[t]++
-	if !x.s.alive[t] {
-		return
-	}
-	if x.needTotals {
-		x.totalRef++
-	}
-	if x.rankByRef {
-		if c := x.classKey(t); c != 0 {
-			x.siftUp(c, int(x.pos[t]))
+// noteBatch applies one committed batch to the mirror and the index (the
+// siteMirror.noteBatch contract), touching each affected pending task's
+// class structure once rather than once per (file, task) pair.
+//
+// The fold pass walks evicted, fetched and batch files exactly as the
+// mirror's direct path does — same residency tests, same refs[f] read at
+// the same points — and sums each pending task's net overlap and refSum
+// change into delta. Tasks not pending sit in no class structure, so
+// their mirror entries take the deltas at once. The apply pass then moves
+// each touched task once: re-filed when its overlap (hence class) changed,
+// otherwise sifted in place within its refSum-ranked heap. The heap
+// layout this leaves depends on the order of touched, but class
+// memberships, the exact totals and the strict within-class order do
+// not, and those alone determine what topK returns.
+func (x *siteIndex) noteBatch(batch, fetched, evicted []workload.FileID) {
+	m := x.m
+	for _, f := range evicted {
+		if !m.resident[f] {
+			continue
+		}
+		m.resident[f] = false
+		var r int64
+		if m.trackRefs {
+			r = int64(m.refs[f])
+		}
+		for _, t := range m.idx.byFile[f] {
+			x.fold(t, -1, -r)
 		}
 	}
+	for _, f := range fetched {
+		if m.resident[f] {
+			continue
+		}
+		m.resident[f] = true
+		var r int64
+		if m.trackRefs {
+			r = int64(m.refs[f])
+		}
+		for _, t := range m.idx.byFile[f] {
+			x.fold(t, 1, r)
+		}
+	}
+	for _, f := range batch {
+		m.refs[f]++
+		if !m.trackRefs || !m.resident[f] {
+			continue
+		}
+		for _, t := range m.idx.byFile[f] {
+			x.fold(t, 0, 1)
+		}
+	}
+
+	for _, t := range x.touched {
+		d := x.delta[t]
+		x.delta[t] = taskDelta{}
+		switch {
+		case d.ov != 0:
+			// The class key moves with overlap: re-file under the new key.
+			x.remove(t)
+			m.overlap[t] += d.ov
+			m.refSum[t] += d.ref
+			x.add(t)
+		case d.ref != 0:
+			m.refSum[t] += d.ref
+			if x.needTotals {
+				x.totalRef += d.ref
+			}
+			if c := x.classKey(t); x.rankByRef && c != 0 {
+				// Same class, new rank. An evict and a fetch in one batch
+				// can leave the net change negative.
+				if i := int(x.pos[t]); d.ref > 0 {
+					x.siftUp(c, i)
+				} else {
+					x.siftDown(c, i)
+				}
+			}
+		}
+	}
+	x.touched = x.touched[:0]
+}
+
+// fold adds one (file, task) change to task t's net batch delta.
+func (x *siteIndex) fold(t workload.TaskID, dOv int32, dRef int64) {
+	if !x.s.alive[t] {
+		x.m.overlap[t] += dOv
+		x.m.refSum[t] += dRef
+		return
+	}
+	d := &x.delta[t]
+	if !d.marked {
+		d.marked = true
+		x.touched = append(x.touched, t)
+	}
+	d.ov += dOv
+	d.ref += dRef
 }
 
 // siftUp restores the heap property upward from slot i of class c,

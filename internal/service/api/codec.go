@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 
 	"gridsched/internal/workload"
@@ -169,7 +170,7 @@ func (binaryCodec) Supports(v any) bool {
 }
 
 func (binaryCodec) Marshal(v any) ([]byte, error) {
-	w := binWriter{b: make([]byte, 0, 64)}
+	w := binWriter{b: make([]byte, 0, binSizeHint(v))}
 	w.b = append(w.b, binMagic, binVersion)
 	switch m := v.(type) {
 	case *SubmitJobRequest:
@@ -228,6 +229,37 @@ func (binaryCodec) Marshal(v any) ([]byte, error) {
 		return nil, fmt.Errorf("api: binary codec does not encode %T", v)
 	}
 	return w.b, w.err
+}
+
+// binSizeHint sizes Marshal's buffer. A submit carries a whole
+// workload, which would otherwise grow the buffer by doubling: its
+// tasks and files are counted at the widest varint a valid id can take.
+// Every other message starts from 64 bytes.
+func binSizeHint(v any) int {
+	const base = 64
+	var wl *workload.Workload
+	switch m := v.(type) {
+	case *SubmitJobRequest:
+		wl = m.Workload
+	case SubmitJobRequest:
+		wl = m.Workload
+	}
+	if wl == nil {
+		return base
+	}
+	perTask := uvarintLen(2 * len(wl.Tasks)) // zigzag task id
+	perFile := uvarintLen(2 * wl.NumFiles)   // zigzag file id
+	n := base + len(wl.Name)
+	for i := range wl.Tasks {
+		files := len(wl.Tasks[i].Files)
+		n += perTask + uvarintLen(files) + perFile*files
+	}
+	return n
+}
+
+// uvarintLen returns the length of the uvarint encoding of n >= 0.
+func uvarintLen(n int) int {
+	return (bits.Len64(uint64(n)|1) + 6) / 7
 }
 
 func (binaryCodec) Unmarshal(data []byte, v any) error {

@@ -92,6 +92,27 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinarySubmitMarshalsInOneAllocation: a submit's buffer is sized
+// for its workload up front and never regrown.
+func TestBinarySubmitMarshalsInOneAllocation(t *testing.T) {
+	cfg := workload.CoaddSmallConfig(1)
+	cfg.Tasks = 500
+	w, err := workload.GenerateCoadd(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &api.SubmitJobRequest{Name: "sweep", Algorithm: "combined.2", Seed: 3, Workload: w,
+		SubmissionID: "s-1", Tenant: "t", Weight: 2, Requires: []string{"gpu"}}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := api.Binary.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Marshal of a %d-task submit made %v allocations, want 1", len(w.Tasks), allocs)
+	}
+}
+
 func TestBinarySupportsValueAndPointerForms(t *testing.T) {
 	if !api.Binary.Supports(api.PullResponse{}) || !api.Binary.Supports(&api.PullResponse{}) {
 		t.Fatal("PullResponse not supported")

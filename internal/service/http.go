@@ -1,10 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -71,13 +71,19 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // names: the compact binary codec under api.ContentTypeBinary, JSON for
 // everything else (including an absent header). The hot-path handlers use
 // this; cold endpoints stay readJSON-only.
+//
+// A binary body is read into a buffer sized from Content-Length (capped
+// at maxBodyBytes), so a large submit lands in one allocation instead of
+// the doubling growth of io.ReadAll; the spare bytes.MinRead lets the
+// final read see EOF without growing it.
 func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if !api.IsBinary(r.Header.Get("Content-Type")) {
 		return readJSON(w, r, v)
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
-		err = api.Binary.Unmarshal(data, v)
+		err = api.Binary.Unmarshal(body.Bytes(), v)
 	}
 	if err != nil {
 		writeError(w, errf(http.StatusBadRequest, "bad request body: %v", err))

@@ -327,18 +327,23 @@ func (s *Service) waitDurable(lsn uint64) error {
 
 // encodeRecord is json.Marshal(rec) with a submit's workload encoded by
 // the reflection-free workload.AppendJSON; Workload is record's last
-// field, so appending it after the rest yields the same bytes.
+// field, so appending it after the rest yields the same bytes. The
+// buffer is sized for the workload up front: a submit record is the
+// whole workload, and growing it by doubling copies it several times.
 func encodeRecord(rec *record) ([]byte, error) {
 	if rec.Workload == nil {
 		return json.Marshal(rec)
 	}
 	head := *rec
 	head.Workload = nil
-	b, err := json.Marshal(&head)
+	h, err := json.Marshal(&head)
 	if err != nil {
 		return nil, err
 	}
-	b = append(b[:len(b)-1], `,"workload":`...)
+	const key = `,"workload":`
+	b := make([]byte, 0, len(h)+len(key)+rec.Workload.JSONSizeHint())
+	b = append(b, h[:len(h)-1]...)
+	b = append(b, key...)
 	b = rec.Workload.AppendJSON(b)
 	return append(b, '}'), nil
 }

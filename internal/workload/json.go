@@ -16,6 +16,29 @@ func (w *Workload) AppendJSON(dst []byte) []byte {
 	return dst
 }
 
+// JSONSizeHint returns a size for a buffer that AppendJSON fills without
+// growing: an upper bound on its output for any workload that passes
+// Validate and whose name needs no escaping.
+func (w *Workload) JSONSizeHint() int {
+	// {"id":<id>,"files":[...]}, plus the separating comma.
+	perTask := len(`{"id":,"files":[]},`) + decimalDigits(len(w.Tasks))
+	perFile := decimalDigits(w.NumFiles) + len(",")
+	n := len(`{"name":"","numFiles":,"tasks":[]}`) + len(w.Name) + decimalDigits(w.NumFiles)
+	for i := range w.Tasks {
+		n += perTask + perFile*len(w.Tasks[i].Files)
+	}
+	return n
+}
+
+// decimalDigits returns the number of decimal digits of n >= 0.
+func decimalDigits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
+}
+
 // WriteJSON writes the bytes AppendJSON would produce to out, a bounded
 // chunk at a time, so encoding a large workload never holds all of it in
 // memory.

@@ -54,6 +54,26 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestJSONSizeHintAvoidsGrowth: a buffer sized by JSONSizeHint holds the
+// whole encoding of a valid workload, so the encoder never reallocates.
+func TestJSONSizeHintAvoidsGrowth(t *testing.T) {
+	coadd := jsonCases(t)[0]
+	for _, w := range []*Workload{
+		coadd,
+		{Name: "one", NumFiles: 1, Tasks: []Task{{ID: 0, Files: []FileID{0}}}},
+		{Name: "wide ids", NumFiles: 100000, Tasks: []Task{{ID: 0, Files: []FileID{99999, 10}}, {ID: 1, Files: []FileID{9}}}},
+	} {
+		if err := w.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		hint := w.JSONSizeHint()
+		got := w.AppendJSON(make([]byte, 0, hint))
+		if cap(got) != hint {
+			t.Errorf("%q: %d encoded bytes outgrew the hint %d", w.Name, len(got), hint)
+		}
+	}
+}
+
 // TestWriteMatchesEncoder: the trace file format is what a json.Encoder
 // wrote before the reflection-free encoder replaced it.
 func TestWriteMatchesEncoder(t *testing.T) {
